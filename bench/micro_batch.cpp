@@ -1,13 +1,11 @@
 // Batched-inference microbenchmark: the length-bucketed predict_batch
 // engine vs the per-gadget autograd forward, across batch sizes and
-// forward precisions, plus the load-time tile autotuner vs the
-// compiled-in default tiles. Records BENCH_batch.json in the
-// metrics-registry schema; absolute scans/s gauges are informational
-// (suffix _scans_per_s never gates), the committed baseline's
-// "speedups" section gates the machine-independent ratios instead:
+// forward precisions. Records BENCH_batch.json in the metrics-registry
+// schema; absolute scans/s gauges are informational (suffix
+// _scans_per_s never gates), the committed baseline's "speedups"
+// section gates the machine-independent ratio instead:
 //
 //   batched_vs_single   batch-32 fp32 / per-gadget fp32   >= 1.02
-//   autotuned_vs_fixed  autotuned tiles / default tiles   >= 0.9
 //
 // Why the batched floor is ~1.05x and not the 2x a batching engine
 // usually promises: the per-gadget forward is ALREADY a batched
@@ -45,7 +43,6 @@
 #include "bench_common.hpp"
 #include "sevuldet/models/sevuldet_net.hpp"
 #include "sevuldet/nn/autograd.hpp"
-#include "sevuldet/nn/kernels.hpp"
 #include "sevuldet/util/metrics.hpp"
 
 // --- allocation counter ----------------------------------------------------
@@ -142,7 +139,6 @@ int main(int argc, char** argv) {
   reps = std::max(1, reps);
   if (!json_path.empty()) su::metrics::set_enabled(true);
   namespace metrics = su::metrics;
-  namespace kernels = nn::kernels;
 
   sm::ModelConfig config;
   config.vocab_size = 500;  // paper-scale net, small vocab for fast init
@@ -177,14 +173,6 @@ int main(int argc, char** argv) {
   std::printf("batched fp32 bit-identical to per-gadget: %s\n",
               identical ? "yes" : "NO");
   if (!identical) return 4;
-
-  // Install the autotuned tiles up front — that is what `sevuldet scan`
-  // runs after load — so every throughput row below measures the
-  // production configuration. The fixed-vs-autotuned comparison swaps
-  // the default tiles back in for its one row.
-  const kernels::GemmTiles tuned =
-      kernels::autotune_gemm_tiles(net.batch_gemm_shapes(256));
-  kernels::set_gemm_tiles(tuned);
 
   auto batched_pass = [&](int batch) {
     for (std::size_t off = 0; off < items.size();
@@ -248,18 +236,6 @@ int main(int argc, char** argv) {
     table.add_row(
         {"bench.batch32.allocs_per_pass", std::to_string(per_pass)});
   }
-
-  // Default tiles vs autotuned tiles, same batched fp32 pass. The floor
-  // is 0.9 (not 1.0): on shapes this small the candidates are close and
-  // scheduler noise can flip a few percent either way — the gate only
-  // rejects an autotuner that picks a clearly losing configuration.
-  kernels::set_gemm_tiles(kernels::default_gemm_tiles());
-  record("bench.tiles.fixed_scans_per_s",
-         best_of_reps([&] { batched_pass(32); }));
-  kernels::set_gemm_tiles(tuned);
-  record("bench.tiles.autotuned_scans_per_s",
-         best_of_reps([&] { batched_pass(32); }));
-  kernels::reset_gemm_tiles();
 
   metrics::gauge_set("bench.gadgets", gadget_count);
   metrics::gauge_set("bench.secs_per_row", secs);

@@ -25,12 +25,12 @@
 //   sevuldet serve --model model.bin --socket /tmp/sevuldet.sock
 //       Long-lived scan daemon: loads the model once and serves scan /
 //       explain / report-status / shutdown requests over a Unix socket,
-//       micro-batching gadgets across concurrent requests.
+//       scoring each request's gadgets in one batched forward pass.
 //   sevuldet shutdown --socket /tmp/sevuldet.sock
 //       Drain and stop a running daemon.
 //   sevuldet top --socket /tmp/sevuldet.sock
 //       Live view of a running daemon (QPS, latency percentiles, error
-//       rates, queue depth, batch occupancy, RSS) by polling the
+//       rates, queue depth, RSS) by polling the
 //       `metrics` op; --json / --prom print one machine-readable scrape.
 #include <algorithm>
 #include <chrono>
@@ -84,8 +84,7 @@ int usage() {
                "                  [--precision P] [--backend B]\n"
                "                  [--compare B1,B2]\n"
                "  sevuldet serve --model MODEL --socket SOCK [--threads N]\n"
-               "                 [--queue-depth N] [--batch N]\n"
-               "                 [--batch-window MS] [--deadline MS]\n"
+               "                 [--queue-depth N] [--deadline MS]\n"
                "                 [--precision P] [--no-telemetry]\n"
                "                 [--telemetry-interval MS] [--history N]\n"
                "                 [--access-log FILE [--access-log-max-bytes N]\n"
@@ -400,12 +399,6 @@ int cmd_serve(int argc, char** argv) {
   if (const char* depth = arg_value(argc, argv, "--queue-depth")) {
     options.queue_depth = std::atoi(depth);
   }
-  if (const char* batch = arg_value(argc, argv, "--batch")) {
-    options.max_batch = std::atoi(batch);
-  }
-  if (const char* window = arg_value(argc, argv, "--batch-window")) {
-    options.batch_window_ms = std::atof(window);
-  }
   if (const char* deadline = arg_value(argc, argv, "--deadline")) {
     options.default_deadline_ms = std::atof(deadline);
   }
@@ -445,10 +438,9 @@ int cmd_serve(int argc, char** argv) {
 
   serve::Server server(detector, options);
   std::printf(
-      "serving on %s (%d worker(s), queue depth %d, batch %d/%.1fms, %s, "
-      "telemetry %s)\n",
-      socket_path, options.threads, options.queue_depth, options.max_batch,
-      options.batch_window_ms, models::precision_name(options.precision),
+      "serving on %s (%d worker(s), queue depth %d, %s, telemetry %s)\n",
+      socket_path, options.threads, options.queue_depth,
+      models::precision_name(options.precision),
       options.telemetry ? "on" : "off");
   std::fflush(stdout);
   server.run();
@@ -479,7 +471,6 @@ struct TopSample {
   long long errors = 0;
   std::map<std::string, long long> errors_by_code;
   double p50_ms = 0.0, p95_ms = 0.0, p99_ms = 0.0;
-  long long batch_flushes = 0, batch_gadgets = 0;
   double queue_depth = 0.0, rss_bytes = 0.0;
   double cpu_user = 0.0, cpu_sys = 0.0, open_fds = 0.0;
   /// QPS derived from the daemon's own history ring (last two samples),
@@ -500,8 +491,6 @@ TopSample decode_top_sample(const std::string& payload) {
     for (const auto& [name, value] : metrics.at("counters").object) {
       const long long count = static_cast<long long>(value.number);
       if (name == "serve.requests") sample.requests = count;
-      if (name == "serve.batch.flushes") sample.batch_flushes = count;
-      if (name == "serve.batch.gadgets") sample.batch_gadgets = count;
       if (name.rfind("serve.errors.", 0) == 0) {
         sample.errors_by_code[name.substr(13)] = count;
         sample.errors += count;
@@ -564,14 +553,6 @@ void render_top(const char* socket_path, const TopSample& now,
   std::printf("  latency ms  p50 %.2f   p95 %.2f   p99 %.2f\n", now.p50_ms,
               now.p95_ms, now.p99_ms);
   std::printf("  queue      %10.0f\n", now.queue_depth);
-  if (now.batch_flushes > 0) {
-    std::printf("  batch      %10.2f gadgets/flush (%lld flushes)\n",
-                static_cast<double>(now.batch_gadgets) /
-                    static_cast<double>(now.batch_flushes),
-                now.batch_flushes);
-  } else {
-    std::printf("  batch      %10s\n", "-");
-  }
   std::printf("  rss        %10.1f MiB\n", now.rss_bytes / (1024.0 * 1024.0));
   std::printf("  cpu        user %.1fs   sys %.1fs   fds %.0f\n", now.cpu_user,
               now.cpu_sys, now.open_fds);

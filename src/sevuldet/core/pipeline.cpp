@@ -340,13 +340,6 @@ void SeVulDet::load(const std::string& path) {
     if (!in.done()) {
       throw std::runtime_error("model file: trailing bytes in payload");
     }
-    // Load-time tile autotuning: benchmark candidate GEMM cache tiles on
-    // this model's actual batched layer shapes and install the winner
-    // (once per process; results are tile-invariant, so this only moves
-    // wall clock). Backends without a batched GEMM engine report no
-    // shapes and skip it.
-    const auto shapes = model_->batch_gemm_shapes(256);
-    if (!shapes.empty()) nn::kernels::autotune_gemm_for_shapes(shapes);
     return;
   }
   if (bytes.compare(0, kModelHeaderV1.size(), kModelHeaderV1) != 0) {
@@ -375,8 +368,6 @@ void SeVulDet::load(const std::string& path) {
   std::ostringstream rest;
   rest << in.rdbuf();
   nn::deserialize_params(model_->params(), rest.str());
-  const auto shapes = model_->batch_gemm_shapes(256);
-  if (!shapes.empty()) nn::kernels::autotune_gemm_for_shapes(shapes);
 }
 
 }  // namespace sevuldet::core

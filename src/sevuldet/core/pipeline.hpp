@@ -76,10 +76,10 @@ struct DetectOptions {
   models::Precision precision = models::Precision::kFp32;
 };
 
-/// One sliced + normalized + encoded gadget of a scan, ready for
-/// (possibly micro-batched) inference. The serve daemon prepares
-/// gadgets on its request workers, ships `ids` through the cross-request
-/// batcher, and assembles Findings from the returned predictions with
+/// One sliced + normalized + encoded gadget of a scan, ready for batched
+/// inference. The serve daemon prepares gadgets on its request workers,
+/// scores them with one predict_batch() on the worker's model clone, and
+/// assembles Findings from the returned predictions with
 /// finding_from_prediction() — the exact helpers detect() itself runs,
 /// so a daemon scan is byte-identical to an in-process one.
 struct PreparedGadget {

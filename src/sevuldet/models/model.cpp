@@ -48,10 +48,6 @@ const std::vector<float>& Detector::last_spatial_weights() const {
   return kEmpty;
 }
 
-bool Detector::is_vulnerable(const std::vector<int>& tokens) {
-  return predict(tokens) > config_.threshold;
-}
-
 std::pair<int, float> Detector::predict_class(const std::vector<int>& tokens) {
   nn::NodePtr logit = forward_logit(tokens, /*train=*/false);
   if (config_.num_classes <= 1) {

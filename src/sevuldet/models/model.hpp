@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "sevuldet/graph/gadget_graph.hpp"
-#include "sevuldet/nn/kernels.hpp"
 #include "sevuldet/nn/layers.hpp"
 #include "sevuldet/nn/tensor.hpp"
 
@@ -51,11 +50,10 @@ struct ModelConfig {
 };
 
 /// One eval-mode forward pass with its attention read-outs captured at
-/// forward time. This is the unit the serve-daemon micro-batcher ships
-/// between threads: the model's last_*_weights() accessors are only
-/// valid until the next forward pass on that instance, so batched
-/// inference must copy them out per item (a pure read-out — scores are
-/// identical to calling predict()).
+/// forward time. The model's last_*_weights() accessors are only valid
+/// until the next forward pass on that instance, so batched inference
+/// copies them out per item (a pure read-out — scores are identical to
+/// calling predict()).
 struct Prediction {
   float probability = 0.0f;
   std::vector<float> token_weights;    // α_i per input token (may be empty)
@@ -112,9 +110,6 @@ class Detector {
   /// binary models, 1 - P(benign) for multiclass models.
   float predict(const std::vector<int>& tokens);
 
-  /// True if predict() exceeds the configured threshold.
-  bool is_vulnerable(const std::vector<int>& tokens);
-
   /// Multiclass: (argmax class id, its softmax probability). For binary
   /// models returns ({0,1}, predict()).
   std::pair<int, float> predict_class(const std::vector<int>& tokens);
@@ -124,11 +119,10 @@ class Detector {
   float predict_item(const BatchItem& item);
 
   /// predict() plus a copy of the attention read-outs taken immediately
-  /// after the forward pass — the unit the serve batcher ships between
-  /// threads (last_*_weights() is only valid until the instance's next
-  /// forward). `capture_spatial` additionally copies the spatial map
-  /// (explain requests only — it is the largest of the three). The
-  /// probability is bit-identical to predict(tokens).
+  /// after the forward pass (last_*_weights() is only valid until the
+  /// instance's next forward). `capture_spatial` additionally copies the
+  /// spatial map (explain requests only — it is the largest of the
+  /// three). The probability is bit-identical to predict(tokens).
   Prediction predict_captured(const std::vector<int>& tokens,
                               bool capture_spatial = false);
   /// Same, through the graph-aware item seam.
@@ -170,14 +164,6 @@ class Detector {
   /// Bytes held by any recycled batched-inference scratch (capacity,
   /// not size). 0 for models without a batched engine.
   virtual std::size_t scratch_bytes() const { return 0; }
-
-  /// GEMM problem shapes the batched forward would issue for roughly
-  /// `rows_hint` stacked rows — fed to the load-time tile autotuner.
-  /// Empty when the model has no batched GEMM path to tune.
-  virtual std::vector<nn::kernels::GemmShape> batch_gemm_shapes(int rows_hint) const {
-    (void)rows_hint;
-    return {};
-  }
 
   const ModelConfig& config() const { return config_; }
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "sevuldet/nn/kernels.hpp"
 #include "sevuldet/util/metrics.hpp"
 
 namespace sevuldet::models {
@@ -599,33 +600,6 @@ std::size_t SeVulDetNet::scratch_bytes() const {
   return floats * sizeof(float) + s.qa.capacity() * sizeof(std::int8_t) +
          s.acc.capacity() * sizeof(std::int32_t) +
          s.ha.capacity() * sizeof(std::uint16_t);
-}
-
-std::vector<nn::kernels::GemmShape> SeVulDetNet::batch_gemm_shapes(
-    int rows_hint) const {
-  const int rows = std::max(32, rows_hint);
-  const int segs = std::max(1, rows / 48);  // ~typical tokens per gadget
-  const int e = config_.embed_dim;
-  const int ch = config_.conv_channels;
-  const int kk = config_.conv_kernel;
-  std::vector<nk::GemmShape> shapes;
-  if (config_.token_attention) {
-    shapes.push_back({rows, config_.attn_dim, e});
-    shapes.push_back({rows, 1, config_.attn_dim});
-  }
-  shapes.push_back({rows, ch, kk * e});
-  if (config_.multilayer_attention) {
-    const int mid = std::max(1, ch / config_.cbam_reduction);
-    shapes.push_back({segs, mid, ch});
-    shapes.push_back({segs, ch, mid});
-    shapes.push_back({rows, 1, 14});
-  }
-  shapes.push_back({rows, ch, kk * ch});
-  const int spp_out = spp_total_bins(config_.spp_bins) * ch;
-  shapes.push_back({segs, config_.dense1, spp_out});
-  shapes.push_back({segs, config_.dense2, config_.dense1});
-  shapes.push_back({segs, std::max(1, config_.num_classes), config_.dense2});
-  return shapes;
 }
 
 }  // namespace sevuldet::models

@@ -10,7 +10,6 @@
 #include <memory>
 
 #include "sevuldet/models/model.hpp"
-#include "sevuldet/nn/kernels.hpp"
 
 namespace sevuldet::models {
 
@@ -54,11 +53,6 @@ class SeVulDetNet : public Detector {
   /// buffers (capacity, not size — vectors only grow, so this is the
   /// high-water inference footprint of this instance).
   std::size_t scratch_bytes() const override;
-
-  /// The GEMM problem shapes the bucketed forward issues for roughly
-  /// `rows_hint` stacked token rows — fed to the load-time tile
-  /// autotuner, which benchmarks candidate cache tiles on exactly these.
-  std::vector<nn::kernels::GemmShape> batch_gemm_shapes(int rows_hint) const override;
 
   /// Concrete deep copy (keeps access to last_token_weights()).
   std::unique_ptr<SeVulDetNet> clone_net() const;

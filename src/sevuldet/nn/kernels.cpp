@@ -1,10 +1,7 @@
 #include "sevuldet/nn/kernels.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cstring>
-#include <mutex>
 #include <vector>
 
 #include "sevuldet/util/metrics.hpp"
@@ -38,18 +35,12 @@ typedef float vf __attribute__((vector_size(VL * sizeof(float)), aligned(4),
 constexpr int MR = 4;
 constexpr int NV = 2;
 constexpr int NR = NV * VL;
-// Default cache tiles: keep the A panel (MC*KC) and the active B panel
-// rows L2-resident for the shapes SEVulDetNet produces. At runtime the
-// installed tiles live in relaxed atomics so model load can swap in an
-// autotuned set while worker threads keep issuing GEMMs — each driver
-// call loads the three values once at entry, so a call always runs with
-// one coherent tile set (and tiles never change results, see header).
-constexpr int kDefaultMc = 64;
-constexpr int kDefaultKc = 256;
-constexpr int kDefaultNc = 256;
-std::atomic<int> g_mc{kDefaultMc};
-std::atomic<int> g_kc{kDefaultKc};
-std::atomic<int> g_nc{kDefaultNc};
+// Cache tiles: keep the A panel (MC*KC) and the active B panel rows
+// L2-resident for the shapes SEVulDetNet produces. Tiles never change
+// results (see header), only speed.
+constexpr int MC = 64;
+constexpr int KC = 256;
+constexpr int NC = 256;
 
 // One MR x NR tile of C += A-panel * B-panel over kc reduction steps.
 // AT selects the A layout at COMPILE TIME so the indexing folds to a
@@ -119,9 +110,6 @@ inline void micro_edge(int mr, int nr, int kc, const float* __restrict__ a,
 template <bool AT>
 void gemm_blocked(int m, int n, int k, const float* a, std::ptrdiff_t lda,
                   const float* b, float* c) {
-  const int MC = g_mc.load(std::memory_order_relaxed);
-  const int KC = g_kc.load(std::memory_order_relaxed);
-  const int NC = g_nc.load(std::memory_order_relaxed);
   for (int jc = 0; jc < n; jc += NC) {
     const int nc = std::min(NC, n - jc);
     for (int pc = 0; pc < k; pc += KC) {
@@ -358,97 +346,6 @@ void transpose_copy(int m, int n, const float* a, float* out) {
       }
     }
   }
-}
-
-GemmTiles default_gemm_tiles() { return {kDefaultMc, kDefaultKc, kDefaultNc}; }
-
-GemmTiles gemm_tiles() {
-  return {g_mc.load(std::memory_order_relaxed),
-          g_kc.load(std::memory_order_relaxed),
-          g_nc.load(std::memory_order_relaxed)};
-}
-
-void set_gemm_tiles(const GemmTiles& tiles) {
-  g_mc.store(std::max(1, tiles.mc), std::memory_order_relaxed);
-  g_kc.store(std::max(1, tiles.kc), std::memory_order_relaxed);
-  g_nc.store(std::max(1, tiles.nc), std::memory_order_relaxed);
-}
-
-void reset_gemm_tiles() { set_gemm_tiles(default_gemm_tiles()); }
-
-namespace {
-
-// Candidate tile sets for the load-time autotuner. The compiled-in
-// default is always a candidate, so tuning can never pick something
-// slower than "no tuning" (modulo timing noise, which the bench gate
-// budgets for). The others trade A-panel height against B-panel width
-// around the L1/L2 sizes common on the deployment fleet.
-constexpr GemmTiles kTileCandidates[] = {
-    {kDefaultMc, kDefaultKc, kDefaultNc},
-    {32, 256, 512},
-    {128, 128, 256},
-    {48, 384, 192},
-    {96, 192, 320},
-};
-
-double time_shapes_once(const std::vector<GemmShape>& shapes,
-                        const std::vector<float>& a, const std::vector<float>& b,
-                        std::vector<float>& c) {
-  const auto start = std::chrono::steady_clock::now();
-  for (const GemmShape& s : shapes) {
-    gemm(s.m, s.n, s.k, a.data(), b.data(), c.data());
-  }
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-      .count();
-}
-
-}  // namespace
-
-GemmTiles autotune_gemm_tiles(const std::vector<GemmShape>& shapes) {
-  std::size_t max_a = 1, max_b = 1, max_c = 1;
-  std::vector<GemmShape> valid;
-  for (const GemmShape& s : shapes) {
-    if (s.m <= 0 || s.n <= 0 || s.k <= 0) continue;
-    valid.push_back(s);
-    max_a = std::max(max_a, static_cast<std::size_t>(s.m) * s.k);
-    max_b = std::max(max_b, static_cast<std::size_t>(s.k) * s.n);
-    max_c = std::max(max_c, static_cast<std::size_t>(s.m) * s.n);
-  }
-  if (valid.empty()) return gemm_tiles();
-  // Deterministic non-trivial operands; the timing, not the numbers,
-  // decides (tiles are result-invariant, so the values don't matter).
-  std::vector<float> a(max_a), b(max_b), c(max_c, 0.0f);
-  for (std::size_t i = 0; i < max_a; ++i) a[i] = 1.0f + 0.001f * (i % 97);
-  for (std::size_t i = 0; i < max_b; ++i) b[i] = 0.5f - 0.002f * (i % 89);
-
-  const GemmTiles previous = gemm_tiles();
-  GemmTiles best = previous;
-  double best_seconds = -1.0;
-  for (const GemmTiles& candidate : kTileCandidates) {
-    set_gemm_tiles(candidate);
-    time_shapes_once(valid, a, b, c);  // warm caches + page in buffers
-    double seconds = time_shapes_once(valid, a, b, c);
-    seconds = std::min(seconds, time_shapes_once(valid, a, b, c));
-    seconds = std::min(seconds, time_shapes_once(valid, a, b, c));
-    if (best_seconds < 0.0 || seconds < best_seconds) {
-      best_seconds = seconds;
-      best = candidate;
-    }
-  }
-  set_gemm_tiles(previous);
-  return best;
-}
-
-void autotune_gemm_for_shapes(const std::vector<GemmShape>& shapes) {
-  static std::once_flag tuned;
-  std::call_once(tuned, [&shapes] {
-    const GemmTiles best = autotune_gemm_tiles(shapes);
-    set_gemm_tiles(best);
-    util::metrics::counter_add("nn.gemm_autotune_runs");
-    util::metrics::gauge_set("nn.gemm_tiles.mc", best.mc);
-    util::metrics::gauge_set("nn.gemm_tiles.kc", best.kc);
-    util::metrics::gauge_set("nn.gemm_tiles.nc", best.nc);
-  });
 }
 
 void gemm_s8(int m, int n, int k, const std::int8_t* a, const std::int8_t* b,

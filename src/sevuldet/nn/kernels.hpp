@@ -21,50 +21,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 namespace sevuldet::nn::kernels {
-
-// --- cache-tile configuration ---------------------------------------------
-// The fp32 GEMM drivers block the iteration space with MC/KC/NC cache
-// tiles. Tile sizes NEVER change results: blocking reloads the partial C
-// tile instead of re-associating, so every output element's accumulation
-// chain is the naive reference's regardless of the installed tiles
-// (kernels_test pins this bitwise across several tile configurations).
-// That result-invariance is what makes runtime autotuning safe.
-struct GemmTiles {
-  int mc = 0;
-  int kc = 0;
-  int nc = 0;
-};
-
-/// Compiled-in default tiles (the pre-autotune configuration).
-GemmTiles default_gemm_tiles();
-/// Tiles currently installed for this process.
-GemmTiles gemm_tiles();
-/// Install new tiles (values clamped to >= 1). Safe to call while other
-/// threads run GEMMs: each call reads the tile set once at entry.
-void set_gemm_tiles(const GemmTiles& tiles);
-/// Restore the compiled-in defaults.
-void reset_gemm_tiles();
-
-/// One GEMM problem shape, as seen by the autotuner.
-struct GemmShape {
-  int m = 0;
-  int n = 0;
-  int k = 0;
-};
-
-/// Benchmark a small fixed candidate set of cache tiles over `shapes`
-/// (the model's actual layer shapes) and return the fastest. Pure: does
-/// not install the result. Deterministic inputs; wall-clock choice only.
-GemmTiles autotune_gemm_tiles(const std::vector<GemmShape>& shapes);
-
-/// Autotune once per process and install the winner; later calls are
-/// no-ops (model load is the intended call site — the bucketed batch
-/// shapes are known there, and test binaries that load many models pay
-/// the tuning cost a single time).
-void autotune_gemm_for_shapes(const std::vector<GemmShape>& shapes);
 
 // --- GEMM family (all accumulate into C) ----------------------------------
 /// C[m,n] += A[m,k] * B[k,n]; row-major, leading dims = logical widths.

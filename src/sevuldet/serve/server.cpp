@@ -26,25 +26,19 @@ double ms_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// Apply the serve precision to the model before MicroBatcher clones it
-/// (member-init order: the batcher is constructed right after options_).
-models::Detector& with_precision(models::Detector& model,
-                                 models::Precision precision) {
-  if (model.precision() != precision) model.set_precision(precision);
-  return model;
-}
-
 }  // namespace
 
 Server::Server(core::SeVulDet& detector, ServeOptions options)
-    : detector_(detector),
-      options_(std::move(options)),
-      batcher_(with_precision(detector.model(), options_.precision),
-               BatcherOptions{std::max(1, options_.max_batch),
-                              std::max(0.0, options_.batch_window_ms),
-                              std::max(1, options_.threads)}) {
+    : detector_(detector), options_(std::move(options)) {
   options_.threads = std::max(1, options_.threads);
   options_.queue_depth = std::max(1, options_.queue_depth);
+  // Set the precision before cloning so every worker's clone inherits it.
+  models::Detector& model = detector_.model();
+  if (model.precision() != options_.precision) {
+    model.set_precision(options_.precision);
+  }
+  clones_.reserve(static_cast<std::size_t>(options_.threads));
+  for (int i = 0; i < options_.threads; ++i) clones_.push_back(model.clone());
   precision_name_ = models::precision_name(options_.precision);
   backend_name_ = detector_.model().name();
   if (options_.telemetry) {
@@ -61,8 +55,6 @@ Server::Server(core::SeVulDet& detector, ServeOptions options)
     }
   }
 }
-
-Server::~Server() { batcher_.stop(); }
 
 void Server::request_shutdown() {
   accepting_ = false;
@@ -90,27 +82,30 @@ void Server::run() {
     snapshotter_ = std::thread([this] { snapshot_loop(); });
   }
   workers_.reserve(static_cast<std::size_t>(options_.threads));
-  for (int i = 0; i < options_.threads; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
+  for (auto& clone : clones_) {
+    workers_.emplace_back([this, &model = *clone] { worker_loop(model); });
   }
   while (!stop_) {
     std::optional<util::UnixStream> peer =
         listener.accept(options_.accept_timeout_ms);
+    reap_connections();
     if (!peer.has_value()) continue;
     ++connections_total_;
     ++connections_active_;
     util::metrics::counter_add("serve.connections");
-    std::lock_guard lock(conns_mu_);
-    conns_.emplace_back([this, stream = std::move(*peer)]() mutable {
+    Connection& conn = conns_.emplace_back();
+    conn.thread = std::thread([this, &done = conn.done,
+                               stream = std::move(*peer)]() mutable {
       handle_connection(std::move(stream));
+      done = true;
     });
   }
   // Drain, in dependency order: stop accepting connections (and unlink
   // the socket file), let the workers finish every admitted request,
   // then release the connection threads (each blocked reply future has
-  // resolved by now), then the batcher's flusher. Joining everything
-  // here is what makes the post-run() metrics snapshot complete: every
-  // per-thread shard retires before the caller writes --metrics-out.
+  // resolved by now). Joining everything here is what makes the
+  // post-run() metrics snapshot complete: every per-thread shard retires
+  // before the caller writes --metrics-out.
   listener.close();
   {
     std::lock_guard lock(queue_mu_);
@@ -120,11 +115,8 @@ void Server::run() {
   for (std::thread& worker : workers_) worker.join();
   workers_.clear();
   conn_stop_ = true;
-  {
-    std::lock_guard lock(conns_mu_);
-    for (std::thread& conn : conns_) conn.join();
-    conns_.clear();
-  }
+  for (Connection& conn : conns_) conn.thread.join();
+  conns_.clear();
   if (snapshotter_.joinable()) {
     take_resource_sample();  // final point: last gauges reflect the drain
     {
@@ -134,11 +126,24 @@ void Server::run() {
     snapshot_cv_.notify_all();
     snapshotter_.join();
   }
-  batcher_.stop();
   if (access_log_ != nullptr) access_log_->flush();
 }
 
-void Server::worker_loop() {
+void Server::reap_connections() {
+  // Join the threads of connections that have hung up, so a long-lived
+  // daemon holds only live connections' stacks, not one per connection
+  // ever served.
+  for (auto it = conns_.begin(); it != conns_.end();) {
+    if (it->done) {
+      it->thread.join();
+      it = conns_.erase(it);
+    } else {
+      ++it;
+    }
+  }
+}
+
+void Server::worker_loop(models::Detector& model) {
   for (;;) {
     Job job;
     {
@@ -158,11 +163,11 @@ void Server::worker_loop() {
           std::chrono::duration<double, std::milli>(dequeued - job.enqueued)
               .count();
     }
-    job.promise.set_value(process(job));
+    job.promise.set_value(process(job, model));
   }
 }
 
-Response Server::process(Job& job) {
+Response Server::process(Job& job, models::Detector& model) {
   if (std::chrono::steady_clock::now() >= job.deadline) {
     return error_response(job.request.id, ErrorCode::DeadlineExceeded,
                           "deadline exceeded while queued");
@@ -171,8 +176,7 @@ Response Server::process(Job& job) {
     if (job.request.op == Op::ScanTree) {
       // Directory scans reuse the exact parallel frontend the CLI runs
       // in-process (core::scan_tree), so findings and drop counters are
-      // identical through either path. They bypass the cross-request
-      // micro-batcher: the tree scan batches per file already.
+      // identical through either path.
       util::trace::ScopedSpan span("serve.scan_tree");
       const auto infer_start = std::chrono::steady_clock::now();
       core::ScanOptions scan_options;
@@ -201,8 +205,7 @@ Response Server::process(Job& job) {
     for (const core::PreparedGadget& gadget : prepared) {
       items.push_back({&gadget.ids, explain, &gadget.graph});
     }
-    std::vector<models::Prediction> predictions =
-        batcher_.predict_many(items);
+    std::vector<models::Prediction> predictions = model.predict_batch(items);
     if (job.timing != nullptr) {
       job.timing->infer_ms = ms_since(infer_start);
       job.timing->batch_size = static_cast<int>(prepared.size());
@@ -513,16 +516,13 @@ std::string Server::status_json() const {
   json::append_number(out, options_.queue_depth);
   out += ",\"peak\":";
   json::append_number(out, queue_peak_.load());
-  out += "},\"batcher\":{\"batches\":";
-  json::append_number(out, static_cast<double>(batcher_.batches_flushed()));
-  out += ",\"gadgets\":";
-  json::append_number(out, static_cast<double>(batcher_.gadgets_scored()));
-  out += ",\"full_flushes\":";
-  json::append_number(out, static_cast<double>(batcher_.full_flushes()));
-  out += ",\"arena_high_water_bytes\":";
-  json::append_number(out,
-                      static_cast<double>(batcher_.arena_high_water_bytes()));
-  out += "},\"threads\":";
+  // Peak activation-scratch bytes across the worker clones: the daemon's
+  // steady-state inference footprint (scratch capacity only grows).
+  std::size_t arena_bytes = 0;
+  for (const auto& clone : clones_) arena_bytes += clone->scratch_bytes();
+  out += "},\"arena_high_water_bytes\":";
+  json::append_number(out, static_cast<double>(arena_bytes));
+  out += ",\"threads\":";
   json::append_number(out, options_.threads);
   out += ",\"connections\":{\"active\":";
   json::append_number(out, connections_active_.load());

@@ -7,33 +7,36 @@
 //
 //   acceptor (run())          one per-connection thread per client
 //   ─ accept loop ──────────▶ ─ recv frame ─ parse ─ admit ─┐
-//                                                           ▼
-//                             bounded admission queue (queue_depth)
+//   ─ join finished                                         ▼
+//     connection threads      bounded admission queue (queue_depth)
 //                                                           │
 //   worker threads (threads)  ◀─ dequeue ── deadline check ─┘
-//   ─ prepare() ─ MicroBatcher::predict_many() ─ findings ─▶ promise
+//   ─ prepare() ─ clone.predict_batch() ─ findings ───────▶ promise
 //                                                           │
 //   connection thread         ◀─ future ── send reply ──────┘
 //
-// Gadget scoring funnels through one MicroBatcher, so concurrent
-// requests' gadgets coalesce into shared CNN batches. Admission is
+// The admission queue is the only queue between a request and the
+// model: each worker owns one model clone and scores its request's
+// gadgets in one length-bucketed predict_batch() call. Admission is
 // bounded: a full queue yields a typed queue_full error instead of
 // unbounded buffering. Every request carries a deadline (its own
 // deadline_ms or the server default), checked at dequeue and again
 // after inference — exceeding it yields a typed deadline_exceeded
-// error, never a silent slow reply.
+// error, never a silent slow reply. The accept loop joins connection
+// threads that have finished on every pass, so the daemon holds
+// threads (and their stacks) only for live connections.
 //
 // Shutdown (the `shutdown` op or request_shutdown()) is a drain, not an
 // abort: the ack is sent, the listener closes (socket file unlinked),
 // already-admitted requests complete and their replies are delivered,
-// and only then are workers, connection threads, and the batcher's
-// flusher joined — so run() returns with every per-thread metrics shard
-// retired and the final --metrics-out snapshot complete.
+// and only then are workers and connection threads joined — so run()
+// returns with every per-thread metrics shard retired and the final
+// --metrics-out snapshot complete.
 //
 // Request lifecycle spans: serve.accept (parse + admission),
 // serve.queue (admission -> dequeue, recorded cross-thread),
-// serve.infer (prepare + batched scoring), serve.batch (one CNN batch
-// flush, in the batcher), serve.reply (serialize + send).
+// serve.infer (prepare + batched scoring), serve.reply (serialize +
+// send).
 //
 // Live telemetry (ServeOptions::telemetry): the `metrics` op answers
 // with the registry (JSON snapshot or Prometheus text) plus a bounded
@@ -55,6 +58,7 @@
 #include <cstddef>
 #include <deque>
 #include <future>
+#include <list>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -64,7 +68,6 @@
 #include <memory>
 
 #include "sevuldet/core/pipeline.hpp"
-#include "sevuldet/serve/batcher.hpp"
 #include "sevuldet/serve/protocol.hpp"
 #include "sevuldet/serve/telemetry.hpp"
 #include "sevuldet/util/log.hpp"
@@ -74,19 +77,18 @@ namespace sevuldet::serve {
 
 struct ServeOptions {
   std::string socket_path;
-  int threads = 1;          // request workers == batch scoring threads
+  int threads = 1;          // request workers, one model clone each
   int queue_depth = 64;     // admission queue bound -> queue_full beyond
-  int max_batch = 32;       // MicroBatcher flush size
-  double batch_window_ms = 2.0;
   double default_deadline_ms = 30000.0;  // for requests without one
   std::size_t max_frame_bytes = util::kDefaultMaxFrameBytes;
   int accept_timeout_ms = 100;  // accept/readability poll granularity —
                                 // bounds shutdown latency
   int recv_timeout_ms = 30000;  // mid-frame stall bound per connection
   /// Forward precision for every scan this daemon serves. Applied to the
-  /// detector's model before the batcher clones it, so all scoring
-  /// clones inherit it. fp32 replies are byte-identical to in-process
-  /// scans; fp16/int8 trade bounded score drift for throughput.
+  /// detector's model before the workers' clones are made, so all
+  /// scoring clones inherit it. fp32 replies are byte-identical to
+  /// in-process scans; fp16/int8 trade bounded score drift for
+  /// throughput.
   models::Precision precision = models::Precision::kFp32;
 
   /// Live telemetry plane (PR 10). Off by default so embedded servers
@@ -119,7 +121,6 @@ class Server {
   /// The detector must be trained (model loaded); the reference must
   /// outlive the server.
   Server(core::SeVulDet& detector, ServeOptions options);
-  ~Server();
 
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
@@ -135,8 +136,8 @@ class Server {
   /// the drain.
   void request_shutdown();
 
-  /// The report-status payload: request/error counts, queue and batcher
-  /// stats, thread and connection counts.
+  /// The report-status payload: request/error counts, queue stats, the
+  /// workers' inference scratch bytes, thread and connection counts.
   std::string status_json() const;
 
   const ServeOptions& options() const { return options_; }
@@ -163,9 +164,17 @@ class Server {
     RequestTiming* timing = nullptr;  // connection-thread stack slot
   };
 
-  void worker_loop();
+  /// A connection's thread; `done` is set as the thread's last step so
+  /// the accept loop can join it without blocking.
+  struct Connection {
+    std::thread thread;
+    std::atomic<bool> done{false};
+  };
+
+  void worker_loop(models::Detector& model);
+  void reap_connections();
   void handle_connection(util::UnixStream stream);
-  Response process(Job& job);
+  Response process(Job& job, models::Detector& model);
   void snapshot_loop();
   void take_resource_sample();
   std::string next_trace_id();
@@ -175,7 +184,7 @@ class Server {
 
   core::SeVulDet& detector_;
   ServeOptions options_;
-  MicroBatcher batcher_;
+  std::vector<std::unique_ptr<models::Detector>> clones_;  // one per worker
 
   mutable std::mutex queue_mu_;
   std::condition_variable queue_cv_;
@@ -187,8 +196,7 @@ class Server {
   std::atomic<bool> conn_stop_{false};  // connection threads exit
 
   std::vector<std::thread> workers_;
-  std::mutex conns_mu_;
-  std::vector<std::thread> conns_;
+  std::list<Connection> conns_;  // acceptor-owned; live connections only
 
   std::atomic<long long> requests_scan_{0};
   std::atomic<long long> requests_explain_{0};

@@ -317,66 +317,6 @@ TEST(KernelsTest, EveryHalfSurvivesTheRoundTrip) {
 }
 
 // ---------------------------------------------------------------------------
-// tile configuration and autotuning
-// ---------------------------------------------------------------------------
-
-TEST(KernelsTest, TileSizesNeverChangeResultsBitwise) {
-  // The autotuner's safety argument: blocking reloads the partial C
-  // tile instead of re-associating, so ANY tile configuration produces
-  // the naive chain. Degenerate 1x1x1 tiles maximize reload traffic.
-  Rng rng(29);
-  const kernels::GemmTiles configs[] = {
-      {1, 1, 1}, {3, 5, 7}, {8, 16, 24}, {48, 256, 64}, {1024, 1024, 1024}};
-  const GemmShape shapes[] = {{7, 13, 17}, {50, 32, 90}, {65, 257, 257}};
-  for (const auto& s : shapes) {
-    const auto a = random_vec(static_cast<std::size_t>(s.m) * s.k, rng);
-    const auto b = random_vec(static_cast<std::size_t>(s.k) * s.n, rng);
-    const auto bt = random_vec(static_cast<std::size_t>(s.n) * s.k, rng);
-    const auto c0 = random_vec(static_cast<std::size_t>(s.m) * s.n, rng);
-    auto c_ref = c0;
-    kernels::gemm_naive(s.m, s.n, s.k, a.data(), b.data(), c_ref.data());
-    auto c_bt_ref = c0;
-    kernels::gemm_a_bt_naive(s.m, s.n, s.k, a.data(), bt.data(),
-                             c_bt_ref.data());
-    for (const auto& tiles : configs) {
-      kernels::set_gemm_tiles(tiles);
-      auto c = c0;
-      kernels::gemm(s.m, s.n, s.k, a.data(), b.data(), c.data());
-      EXPECT_TRUE(bitwise_equal(c_ref, c))
-          << "gemm tiles " << tiles.mc << "/" << tiles.kc << "/" << tiles.nc;
-      auto c_bt = c0;
-      kernels::gemm_a_bt(s.m, s.n, s.k, a.data(), bt.data(), c_bt.data());
-      EXPECT_TRUE(bitwise_equal(c_bt_ref, c_bt))
-          << "gemm_a_bt tiles " << tiles.mc << "/" << tiles.kc << "/"
-          << tiles.nc;
-    }
-  }
-  kernels::reset_gemm_tiles();
-}
-
-TEST(KernelsTest, AutotuneIsPureAndSetInstallClampsToValid) {
-  // autotune_gemm_tiles benchmarks candidates but must not install its
-  // winner as a side effect — installation is the caller's decision.
-  kernels::reset_gemm_tiles();
-  const kernels::GemmTiles before = kernels::gemm_tiles();
-  const kernels::GemmTiles tuned =
-      kernels::autotune_gemm_tiles({{13, 8, 12}, {1, 24, 12}});
-  const kernels::GemmTiles after = kernels::gemm_tiles();
-  EXPECT_EQ(before.mc, after.mc);
-  EXPECT_EQ(before.kc, after.kc);
-  EXPECT_EQ(before.nc, after.nc);
-  EXPECT_GE(tuned.mc, 1);
-  EXPECT_GE(tuned.kc, 1);
-  EXPECT_GE(tuned.nc, 1);
-  // set clamps nonsense to >= 1 instead of dividing the loop space by 0.
-  kernels::set_gemm_tiles({0, -4, 0});
-  EXPECT_GE(kernels::gemm_tiles().mc, 1);
-  EXPECT_GE(kernels::gemm_tiles().kc, 1);
-  EXPECT_GE(kernels::gemm_tiles().nc, 1);
-  kernels::reset_gemm_tiles();
-}
-
-// ---------------------------------------------------------------------------
 // TensorArena
 // ---------------------------------------------------------------------------
 

@@ -1,8 +1,8 @@
 // The serve daemon stack, bottom-up: frame robustness (truncated /
 // corrupt / oversized frames rejected loudly, never misread), protocol
-// JSON round-trips, the cross-request MicroBatcher's batched==unbatched
-// contract, and end-to-end daemon scans that must be byte-identical to
-// in-process detect() — the property the serve-gate CI job enforces.
+// JSON round-trips, and end-to-end daemon scans that must be
+// byte-identical to in-process detect() — the property the serve-gate CI
+// job enforces.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -13,13 +13,13 @@
 #include <fstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "sevuldet/core/pipeline.hpp"
 #include "sevuldet/core/scan.hpp"
 #include "sevuldet/dataset/sard_generator.hpp"
 #include "sevuldet/nn/autograd.hpp"
-#include "sevuldet/serve/batcher.hpp"
 #include "sevuldet/serve/client.hpp"
 #include "sevuldet/serve/protocol.hpp"
 #include "sevuldet/serve/server.hpp"
@@ -309,7 +309,7 @@ TEST(ServeProtocol, StatusResponseCarriesRawObject) {
 }
 
 // ---------------------------------------------------------------------
-// Trained fixture shared by the batcher and daemon suites.
+// Trained fixture shared by the daemon suites.
 
 sc::PipelineConfig tiny_pipeline_config() {
   sc::PipelineConfig config;
@@ -385,74 +385,6 @@ serve::ServeOptions test_options(const char* tag) {
   options.threads = 2;
   options.accept_timeout_ms = 20;  // quick shutdown in tests
   return options;
-}
-
-// ---------------------------------------------------------------------
-// MicroBatcher: batched == unbatched, bitwise.
-
-TEST(ServeBatcher, BatchedScoresMatchInlineBitwise) {
-  auto& f = fixture();
-  auto prepared = f.detector.prepare(f.vulnerable_source);
-  ASSERT_FALSE(prepared.empty());
-
-  // Inline (unbatched) reference, serial on the fixture model.
-  std::vector<sevuldet::models::Prediction> expected;
-  for (const auto& gadget : prepared) {
-    expected.push_back(f.detector.model().predict_captured(gadget.ids, true));
-  }
-
-  // Batched, across clones, submitted concurrently so entries coalesce.
-  serve::BatcherOptions options;
-  options.max_batch = 4;
-  options.window_ms = 20.0;
-  options.threads = 2;
-  serve::MicroBatcher batcher(f.detector.model(), options);
-  std::vector<sevuldet::models::Prediction> got(prepared.size());
-  std::vector<std::thread> submitters;
-  for (std::size_t i = 0; i < prepared.size(); ++i) {
-    submitters.emplace_back([&, i] {
-      got[i] = batcher.predict(prepared[i].ids, true);
-    });
-  }
-  for (auto& t : submitters) t.join();
-  batcher.stop();
-
-  EXPECT_GE(batcher.gadgets_scored(), static_cast<long long>(prepared.size()));
-  EXPECT_GE(batcher.batches_flushed(), 1);
-  for (std::size_t i = 0; i < prepared.size(); ++i) {
-    EXPECT_EQ(expected[i].probability, got[i].probability) << "gadget " << i;
-    EXPECT_EQ(expected[i].token_weights, got[i].token_weights) << "gadget " << i;
-    EXPECT_EQ(expected[i].spatial_weights, got[i].spatial_weights)
-        << "gadget " << i;
-  }
-}
-
-TEST(ServeBatcher, PredictManyMatchesPredict) {
-  auto& f = fixture();
-  auto prepared = f.detector.prepare(f.vulnerable_source);
-  ASSERT_FALSE(prepared.empty());
-  serve::BatcherOptions options;
-  options.max_batch = 2;  // forces multiple flushes per predict_many
-  options.window_ms = 1.0;
-  options.threads = 2;
-  serve::MicroBatcher batcher(f.detector.model(), options);
-
-  std::vector<const std::vector<int>*> ids;
-  for (const auto& gadget : prepared) ids.push_back(&gadget.ids);
-  auto many = batcher.predict_many(ids, false);
-  ASSERT_EQ(prepared.size(), many.size());
-  for (std::size_t i = 0; i < prepared.size(); ++i) {
-    auto one = batcher.predict(prepared[i].ids, false);
-    EXPECT_EQ(one.probability, many[i].probability) << "gadget " << i;
-  }
-}
-
-TEST(ServeBatcher, PredictAfterStopThrows) {
-  auto& f = fixture();
-  serve::MicroBatcher batcher(f.detector.model(), {});
-  batcher.stop();
-  std::vector<int> ids = {1, 2, 3};
-  EXPECT_THROW(batcher.predict(ids, false), std::logic_error);
 }
 
 // ---------------------------------------------------------------------
@@ -577,9 +509,8 @@ TEST(ServeDaemon, ReportStatusExposesCounters) {
   const std::string status = client->report_status();
   mini_json::Value doc = mini_json::parse(status);
   EXPECT_EQ(1.0, doc.at("requests").at("scan").number);
-  EXPECT_GE(doc.at("batcher").at("gadgets").number, 1.0);
-  EXPECT_GE(doc.at("batcher").at("batches").number, 1.0);
-  EXPECT_GT(doc.at("batcher").at("arena_high_water_bytes").number, 0.0);
+  EXPECT_GT(doc.at("arena_high_water_bytes").number, 0.0);
+  EXPECT_FALSE(doc.has("batcher"));
   EXPECT_EQ(2.0, doc.at("threads").number);
   EXPECT_GE(doc.at("connections").at("active").number, 1.0);
 }
@@ -617,14 +548,57 @@ TEST(ServeDaemon, ShutdownDrainsAndFoldsMetrics) {
   EXPECT_EQ(kScans + 1, snapshot.counters.at("serve.requests"));
   ASSERT_TRUE(snapshot.histograms.count("serve.request_ms"));
   EXPECT_EQ(kScans + 1, snapshot.histograms.at("serve.request_ms").count);
-  // Spans recorded on worker threads (serve.queue, serve.infer) and the
-  // batcher flusher (serve.batch) all folded into the final snapshot.
-  for (const char* name :
-       {"span.serve.accept", "span.serve.queue", "span.serve.infer",
-        "span.serve.batch", "span.serve.reply"}) {
+  // Spans and counters recorded on worker threads (serve.queue,
+  // serve.infer, the clones' predict_batch) all folded into the final
+  // snapshot.
+  for (const char* name : {"span.serve.accept", "span.serve.queue",
+                           "span.serve.infer", "span.serve.reply"}) {
     EXPECT_TRUE(snapshot.histograms.count(name)) << name;
   }
-  EXPECT_GE(snapshot.counters.at("serve.batch.gadgets"), 1);
+  EXPECT_FALSE(snapshot.histograms.count("span.serve.batch"));
+  EXPECT_GE(snapshot.counters.at("nn.predict_batch.gadgets"), 1);
+}
+
+/// `/proc/self/maps` line count and VmSize (kB) of this process.
+std::pair<long, long> maps_and_vmsize_kb() {
+  long maps = 0;
+  std::ifstream maps_in("/proc/self/maps");
+  for (std::string line; std::getline(maps_in, line);) ++maps;
+  long vmsize_kb = 0;
+  std::ifstream status_in("/proc/self/status");
+  for (std::string line; std::getline(status_in, line);) {
+    if (line.rfind("VmSize:", 0) == 0) vmsize_kb = std::stol(line.substr(7));
+  }
+  return {maps, vmsize_kb};
+}
+
+/// One-shot clients (the `scan --daemon` pattern) must not grow the
+/// daemon's footprint: each finished connection's thread is joined by
+/// the accept loop, so its stack and guard page are unmapped. Without
+/// reaping, every connection leaves 2 maps lines and ~8 MB of VmSize
+/// (+600 lines and +2.4 GB here). The bounds leave room for what does
+/// not scale with the connection count: the last connections' stacks
+/// and a few glibc malloc arenas (2 lines and 64 MB of reserved address
+/// space each) when connection threads briefly overlap.
+TEST(ServeDaemon, OneShotConnectionsDoNotGrowFootprint) {
+  auto& f = fixture();
+  RunningServer running(test_options("oneshot"));
+  const std::string& socket_path = running.server.options().socket_path;
+  auto one_shot_scans = [&](int count) {
+    for (int i = 0; i < count; ++i) {
+      auto client = serve::Client::connect(socket_path);
+      ASSERT_TRUE(client.has_value());
+      client->scan(f.vulnerable_source);
+    }
+  };
+  one_shot_scans(100);  // warm: worker scratch, allocator arenas
+  const auto [warm_maps, warm_vmsize_kb] = maps_and_vmsize_kb();
+  one_shot_scans(300);
+  const auto [end_maps, end_vmsize_kb] = maps_and_vmsize_kb();
+  EXPECT_LT(end_maps - warm_maps, 20)
+      << "maps " << warm_maps << " -> " << end_maps;
+  EXPECT_LT(end_vmsize_kb - warm_vmsize_kb, 256 * 1024)
+      << "VmSize kB " << warm_vmsize_kb << " -> " << end_vmsize_kb;
 }
 
 /// A daemon directory scan must produce the same bytes as an in-process
