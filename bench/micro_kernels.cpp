@@ -1,7 +1,8 @@
 // Microbenchmarks for the blocked kernel library and the tensor-arena
 // train step (google-benchmark). Three question groups:
 //   1. GEMM family throughput, blocked vs naive, at the exact shapes the
-//      SEVulDetNet hot path produces (GFLOP/s counter);
+//      SEVulDetNet hot path produces, and per compiled ISA variant at
+//      the CLI model's shapes (GFLOP/s counter);
 //   2. end-to-end train-step latency, heap autograd vs arena autograd;
 //   3. heap allocations per train step — this TU overrides global
 //      operator new/delete with a counter, and the arena steady state
@@ -13,6 +14,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <string>
 #include <vector>
 
 #include "bench_observability.hpp"
@@ -95,6 +97,52 @@ void BM_GemmNaive(benchmark::State& state) { BM_Gemm<kernels::gemm_naive>(state)
 void BM_GemmBlocked(benchmark::State& state) { BM_Gemm<kernels::gemm>(state); }
 BENCHMARK(BM_GemmNaive)->Apply(gemm_args);
 BENCHMARK(BM_GemmBlocked)->Apply(gemm_args);
+
+// Every compiled ISA variant of the forward GEMM at the CLI model's
+// per-bucket shapes (embed 24, 16 conv channels, attention 32, one
+// ~180-row length bucket of 8 gadgets), registered from main() so each
+// variant the host supports gets a row: BM_GemmIsa/<isa>/<layer>/m/k/n.
+struct LayerShape {
+  const char* layer;
+  int m, k, n;
+};
+constexpr LayerShape kModelShapes[] = {
+    {"attn_u", 120, 24, 32},  {"attn_score", 120, 32, 1},
+    {"conv1", 180, 72, 16},   {"spatial", 180, 14, 1},
+    {"conv2", 180, 48, 16},   {"cbam_mlp0", 8, 16, 4},
+    {"cbam_mlp1", 8, 4, 16},  {"fc1", 8, 112, 256},
+    {"fc2", 8, 256, 64},      {"fc3", 8, 64, 1},
+};
+
+void register_isa_benchmarks() {
+  for (const kernels::GemmVariant& v : kernels::gemm_variants()) {
+    for (const LayerShape& shape : kModelShapes) {
+      const std::string name =
+          std::string("BM_GemmIsa/") + v.isa + "/" + shape.layer;
+      benchmark::RegisterBenchmark(
+          name.c_str(),
+          [fn = v.gemm](benchmark::State& state) {
+            const int m = static_cast<int>(state.range(0));
+            const int k = static_cast<int>(state.range(1));
+            const int n = static_cast<int>(state.range(2));
+            util::Rng rng(42);
+            const auto a = random_vec(static_cast<std::size_t>(m) * k, rng);
+            const auto b = random_vec(static_cast<std::size_t>(k) * n, rng);
+            std::vector<float> c(static_cast<std::size_t>(m) * n, 0.0f);
+            for (auto _ : state) {
+              fn(m, n, k, a.data(), b.data(), c.data());
+              benchmark::DoNotOptimize(c.data());
+              benchmark::ClobberMemory();
+            }
+            state.counters["GFLOP/s"] = benchmark::Counter(
+                2.0 * m * n * k * static_cast<double>(state.iterations()) *
+                    1e-9,
+                benchmark::Counter::kIsRate);
+          })
+          ->Args({shape.m, shape.k, shape.n});
+    }
+  }
+}
 
 // Backward-pass forms at a representative conv shape: dB = A^T(kxm) * G
 // and dA = G * B^T(nxk).
@@ -222,6 +270,7 @@ BENCHMARK(BM_PredictArena)->Arg(200)->Unit(benchmark::kMillisecond);
 // atexit write) before benchmark::Initialize sees argv.
 int main(int argc, char** argv) {
   bench::strip_observability_flags(&argc, argv);
+  register_isa_benchmarks();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -51,6 +51,7 @@
 #include "sevuldet/dataset/sard_generator.hpp"
 #include "sevuldet/frontend/parser.hpp"
 #include "sevuldet/graph/pdg.hpp"
+#include "sevuldet/nn/kernels.hpp"
 #include "sevuldet/serve/client.hpp"
 #include "sevuldet/serve/server.hpp"
 #include "sevuldet/slicer/gadget.hpp"
@@ -438,9 +439,10 @@ int cmd_serve(int argc, char** argv) {
 
   serve::Server server(detector, options);
   std::printf(
-      "serving on %s (%d worker(s), queue depth %d, %s, telemetry %s)\n",
+      "serving on %s (%d worker(s), queue depth %d, %s, %s kernels, "
+      "telemetry %s)\n",
       socket_path, options.threads, options.queue_depth,
-      models::precision_name(options.precision),
+      models::precision_name(options.precision), nn::kernels::kernel_isa(),
       options.telemetry ? "on" : "off");
   std::fflush(stdout);
   server.run();
@@ -829,6 +831,7 @@ class ObservabilityWriter {
     if (const char* path = arg_value(argc, argv, "--metrics-out")) {
       metrics_path_ = path;
       util::metrics::set_enabled(true);
+      util::metrics::label_set("nn.kernel_isa", nn::kernels::kernel_isa());
     }
     if (const char* path = arg_value(argc, argv, "--trace-out")) {
       trace_path_ = path;

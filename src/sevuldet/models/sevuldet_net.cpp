@@ -250,40 +250,32 @@ void SeVulDetNet::forward_bucket(const BatchItem* const* items,
   const int rows1 = segs * t1;
   const int rows2 = segs * t2;
 
-  // Embedding gather [rows0, e] (same padding rule as forward_logit).
+  // Embedding gather [rows0, e] (same padding rule as forward_logit;
+  // ids were range-checked by score_distinct_tokens) and, with token
+  // attention on, each row's score gathered from the per-call block.
   s.x.resize(static_cast<std::size_t>(rows0) * e);
+  s.attn_scores.resize(static_cast<std::size_t>(rows0));
   const nn::Tensor& table = embedding_->value;
   for (int sg = 0; sg < segs; ++sg) {
     const std::vector<int>& tokens = *items[sg]->tokens;
     const int len = static_cast<int>(tokens.size());
     float* xs = s.x.data() + static_cast<std::size_t>(sg) * t0 * e;
+    float* sc = s.attn_scores.data() + static_cast<std::size_t>(sg) * t0;
     for (int i = 0; i < t0; ++i) {
       const int id = i < len ? tokens[static_cast<std::size_t>(i)] : 0;
-      if (id < 0 || id >= table.rows()) {
-        throw std::out_of_range("embedding: id out of range");
-      }
       nk::copy(static_cast<std::size_t>(e),
                table.data() + static_cast<std::size_t>(id) * e,
                xs + static_cast<std::size_t>(i) * e);
+      if (token_attention_) {
+        sc[i] = s.tok_score[static_cast<std::size_t>(
+            tok_slot_[static_cast<std::size_t>(id)])];
+      }
     }
   }
 
-  // Token attention (eqs. 1-4): one stacked GEMM for u and for the
-  // scores; softmax + alpha capture + alpha*T scaling per segment.
+  // Token attention (eqs. 1-4): softmax + alpha capture + alpha*T
+  // scaling per segment over the gathered scores.
   if (token_attention_) {
-    const nn::Tensor& ww = *pc.attn_w;  // [e, a]
-    const nn::Tensor& bw = *pc.attn_b;  // [1, a]
-    const nn::Tensor& uw = *pc.attn_u;  // [a, 1]
-    const int a = ww.cols();
-    s.attn_u.assign(static_cast<std::size_t>(rows0) * a, 0.0f);
-    nk::gemm(rows0, a, e, s.x.data(), ww.data(), s.attn_u.data());
-    for (int i = 0; i < rows0; ++i) {
-      float* row = s.attn_u.data() + static_cast<std::size_t>(i) * a;
-      nk::add_inplace(static_cast<std::size_t>(a), bw.data(), row);
-      for (int j = 0; j < a; ++j) row[j] = std::tanh(row[j]);
-    }
-    s.attn_scores.assign(static_cast<std::size_t>(rows0), 0.0f);
-    nk::gemm(rows0, 1, a, s.attn_u.data(), uw.data(), s.attn_scores.data());
     s.alpha.resize(static_cast<std::size_t>(rows0));
     const float tf = static_cast<float>(t0);
     for (int sg = 0; sg < segs; ++sg) {
@@ -549,12 +541,82 @@ void SeVulDetNet::forward_bucket(const BatchItem* const* items,
   }
 }
 
+void SeVulDetNet::score_distinct_tokens(const BatchItem* items,
+                                       std::size_t count) {
+  const nn::Tensor& table = embedding_->value;
+  const int vocab = table.rows();
+  for (std::size_t n = 0; n < count; ++n) {
+    for (const int id : *items[n].tokens) {
+      if (id < 0 || id >= vocab) {
+        throw std::out_of_range("embedding: id out of range");
+      }
+    }
+  }
+  if (!token_attention_) return;
+  if (tok_stamp_.size() != static_cast<std::size_t>(vocab)) {
+    tok_stamp_.assign(static_cast<std::size_t>(vocab), 0);
+    tok_slot_.assign(static_cast<std::size_t>(vocab), 0);
+    tok_gen_ = 0;
+  }
+  if (++tok_gen_ == 0) {  // wrapped: every stale stamp could match again
+    std::fill(tok_stamp_.begin(), tok_stamp_.end(), 0u);
+    tok_gen_ = 1;
+  }
+  tok_ids_.clear();
+  auto visit = [this](int id) {
+    const auto slot = static_cast<std::size_t>(id);
+    if (tok_stamp_[slot] != tok_gen_) {
+      tok_stamp_[slot] = tok_gen_;
+      tok_slot_[slot] = static_cast<int>(tok_ids_.size());
+      tok_ids_.push_back(id);
+    }
+  };
+  visit(0);  // the pad id of gadgets shorter than the conv kernel
+  long long token_rows = 0;
+  for (std::size_t n = 0; n < count; ++n) {
+    const std::vector<int>& tokens = *items[n].tokens;
+    for (const int id : tokens) visit(id);
+    token_rows += std::max(static_cast<int>(tokens.size()), config_.conv_kernel);
+  }
+
+  // u = tanh(x W + b), score = u . u_w on the stacked distinct rows: each
+  // GEMM row's chain is independent of the other rows, so every token
+  // gets the bits a per-token-row evaluation would give it.
+  BatchScratch& s = scratch_;
+  const ParamCache& pc = param_cache();
+  const nn::Tensor& ww = *pc.attn_w;  // [e, a]
+  const nn::Tensor& bw = *pc.attn_b;  // [1, a]
+  const nn::Tensor& uw = *pc.attn_u;  // [a, 1]
+  const int e = config_.embed_dim;
+  const int a = ww.cols();
+  const int rows = static_cast<int>(tok_ids_.size());
+  util::metrics::counter_add("nn.attn.token_rows", token_rows);
+  util::metrics::counter_add("nn.attn.scored_rows", rows);
+  s.tok_x.resize(static_cast<std::size_t>(rows) * e);
+  for (int r = 0; r < rows; ++r) {
+    nk::copy(static_cast<std::size_t>(e),
+             table.data() + static_cast<std::size_t>(
+                                tok_ids_[static_cast<std::size_t>(r)]) * e,
+             s.tok_x.data() + static_cast<std::size_t>(r) * e);
+  }
+  s.attn_u.assign(static_cast<std::size_t>(rows) * a, 0.0f);
+  nk::gemm(rows, a, e, s.tok_x.data(), ww.data(), s.attn_u.data());
+  for (int i = 0; i < rows; ++i) {
+    float* row = s.attn_u.data() + static_cast<std::size_t>(i) * a;
+    nk::add_inplace(static_cast<std::size_t>(a), bw.data(), row);
+    for (int j = 0; j < a; ++j) row[j] = std::tanh(row[j]);
+  }
+  s.tok_score.assign(static_cast<std::size_t>(rows), 0.0f);
+  nk::gemm(rows, 1, a, s.attn_u.data(), uw.data(), s.tok_score.data());
+}
+
 void SeVulDetNet::predict_batch(const BatchItem* items, std::size_t count,
                                 Prediction* out) {
   if (count == 0) return;
   util::metrics::counter_add("nn.predict_batch.calls");
   util::metrics::counter_add("nn.predict_batch.gadgets",
                              static_cast<long long>(count));
+  score_distinct_tokens(items, count);
   // Group by padded length: stable order inside a bucket, ascending
   // length across buckets — deterministic regardless of input order.
   // The original index is the pair's second member, so plain in-place
@@ -591,15 +653,17 @@ std::size_t SeVulDetNet::scratch_bytes() const {
   const BatchScratch& s = scratch_;
   std::size_t floats = 0;
   for (const std::vector<float>* v :
-       {&s.x, &s.attn_u, &s.attn_scores, &s.alpha, &s.im1, &s.f1, &s.cb,
-        &s.cb2, &s.im2, &s.f2, &s.ch_avg, &s.ch_max, &s.ch_mid, &s.ch_mlp,
-        &s.mc, &s.sp_in, &s.sp_im, &s.ms, &s.pooled, &s.h1, &s.h2, &s.logits,
-        &s.row_scale}) {
+       {&s.x, &s.attn_u, &s.attn_scores, &s.alpha, &s.tok_x, &s.tok_score,
+        &s.im1, &s.f1, &s.cb, &s.cb2, &s.im2, &s.f2, &s.ch_avg, &s.ch_max,
+        &s.ch_mid, &s.ch_mlp, &s.mc, &s.sp_in, &s.sp_im, &s.ms, &s.pooled,
+        &s.h1, &s.h2, &s.logits, &s.row_scale}) {
     floats += v->capacity();
   }
   return floats * sizeof(float) + s.qa.capacity() * sizeof(std::int8_t) +
          s.acc.capacity() * sizeof(std::int32_t) +
-         s.ha.capacity() * sizeof(std::uint16_t);
+         s.ha.capacity() * sizeof(std::uint16_t) +
+         tok_stamp_.capacity() * sizeof(std::uint32_t) +
+         (tok_slot_.capacity() + tok_ids_.capacity()) * sizeof(int);
 }
 
 }  // namespace sevuldet::models

@@ -75,6 +75,7 @@ class SeVulDetNet : public Detector {
   /// own their own, so per-worker clones batch concurrently).
   struct BatchScratch {
     std::vector<float> x, attn_u, attn_scores, alpha;
+    std::vector<float> tok_x, tok_score;  // distinct-token attention block
     std::vector<float> im1, f1, cb, cb2, im2, f2;
     std::vector<float> ch_avg, ch_max, ch_mid, ch_mlp, mc;
     std::vector<float> sp_in, sp_im, ms;
@@ -109,6 +110,9 @@ class SeVulDetNet : public Detector {
   void dense_head(int m, int k, int n, const float* act, const nn::Tensor& w,
                   const nn::Tensor& b, const QuantWeights& qw, bool apply_relu,
                   float* out);
+  /// Validates every token id, then (with token attention on) scores
+  /// eqs. 1-4 once per distinct id of the call into scratch_.tok_score.
+  void score_distinct_tokens(const BatchItem* items, std::size_t count);
   void forward_bucket(const BatchItem* const* items, Prediction** out, int segs,
                       int padded_len);
 
@@ -129,6 +133,14 @@ class SeVulDetNet : public Detector {
   std::vector<std::pair<int, std::size_t>> bucket_order_;  // (padded len, idx)
   std::vector<const BatchItem*> bucket_items_;  // bucket assembly scratch
   std::vector<Prediction*> bucket_out_;
+  // Distinct ids of the current predict_batch call: tok_stamp_[id] ==
+  // tok_gen_ marks an id as seen, tok_slot_[id] is its row in the scored
+  // block. Vocab-sized on first use; the generation stamp means nothing
+  // is cleared between calls, and no score outlives its call.
+  std::vector<std::uint32_t> tok_stamp_;
+  std::vector<int> tok_slot_;
+  std::vector<int> tok_ids_;
+  std::uint32_t tok_gen_ = 0;
 };
 
 }  // namespace sevuldet::models

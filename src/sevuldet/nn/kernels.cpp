@@ -4,200 +4,45 @@
 #include <cstring>
 #include <vector>
 
+#include "sevuldet/nn/gemm_tiles.hpp"
 #include "sevuldet/util/metrics.hpp"
 
 namespace sevuldet::nn::kernels {
 
 namespace {
 
-// Vector width for the ISA this TU is compiled for. The micro-kernel is
-// written with GCC/Clang portable vector extensions instead of relying
-// on the loop vectorizer: with a plain float array the compiler keeps
-// the accumulator tile in stack memory (a load+store per FMA), which is
-// slower than the naive loop. Explicit vector-typed locals are register
-// allocated. Lane width never changes results: lanes are independent C
-// elements, and each element's accumulation chain stays ascending-p.
-#if defined(__AVX512F__)
-constexpr int VL = 16;
-#elif defined(__AVX__)
-constexpr int VL = 8;
-#else
-constexpr int VL = 4;  // SSE2 baseline of x86-64
+std::vector<GemmVariant> detect_variants() {
+  std::vector<GemmVariant> variants{detail::gemm_variant_sse2()};
+#if defined(SEVULDET_KERNELS_X86)
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("avx2")) {
+    variants.push_back(detail::gemm_variant_avx2());
+  }
+  if (__builtin_cpu_supports("avx512f")) {
+    variants.push_back(detail::gemm_variant_avx512());
+  }
 #endif
-// aligned(4): loads/stores through this type are unaligned (tensor rows
-// are not padded to vector boundaries). may_alias: the underlying
-// storage is plain float arrays.
-typedef float vf __attribute__((vector_size(VL * sizeof(float)), aligned(4),
-                                may_alias));
-
-// Register tile: MR rows x NV vectors. 8 vector accumulators + NV B-row
-// vectors + a broadcast leave headroom in 16 registers on every ISA.
-constexpr int MR = 4;
-constexpr int NV = 2;
-constexpr int NR = NV * VL;
-// Cache tiles: keep the A panel (MC*KC) and the active B panel rows
-// L2-resident for the shapes SEVulDetNet produces. Tiles never change
-// results (see header), only speed.
-constexpr int MC = 64;
-constexpr int KC = 256;
-constexpr int NC = 256;
-
-// One MR x NR tile of C += A-panel * B-panel over kc reduction steps.
-// AT selects the A layout at COMPILE TIME so the indexing folds to a
-// constant-stride form the vectorizer can reason about: AT=false reads
-// a[ir*lda + p] (normal [m,k]), AT=true reads a[p*lda + ir] (fused
-// transpose of a [k,m] matrix).
-//
-// The tile is loaded from C, accumulated in ascending-p order, and
-// stored back — the per-element addition chain is exactly the naive
-// reference's, so blocking never changes a bit.
-// MRT is the live row count (1..MR): row edges get their own fully
-// unrolled instantiation instead of falling back to scalar code, which
-// matters because the dense head runs [1,k]x[k,n] products where every
-// tile is a row edge.
-template <bool AT, int MRT>
-inline void micro_full(int kc, const float* __restrict__ a, std::ptrdiff_t lda,
-                       const float* __restrict__ b, int ldb,
-                       float* __restrict__ c, int ldc) {
-  vf acc[MRT][NV];
-  for (int ir = 0; ir < MRT; ++ir) {
-    for (int jv = 0; jv < NV; ++jv) {
-      acc[ir][jv] = *reinterpret_cast<const vf*>(c + ir * ldc + jv * VL);
-    }
-  }
-  for (int p = 0; p < kc; ++p) {
-    const float* __restrict__ brow = b + static_cast<std::ptrdiff_t>(p) * ldb;
-    vf bv[NV];
-    for (int jv = 0; jv < NV; ++jv) {
-      bv[jv] = *reinterpret_cast<const vf*>(brow + jv * VL);
-    }
-    for (int ir = 0; ir < MRT; ++ir) {
-      const float av = AT ? a[p * lda + ir] : a[ir * lda + p];
-      for (int jv = 0; jv < NV; ++jv) acc[ir][jv] += av * bv[jv];
-    }
-  }
-  for (int ir = 0; ir < MRT; ++ir) {
-    for (int jv = 0; jv < NV; ++jv) {
-      *reinterpret_cast<vf*>(c + ir * ldc + jv * VL) = acc[ir][jv];
-    }
-  }
+  return variants;
 }
 
-// Partial tile at the m/n edges; identical accumulation order.
-template <bool AT>
-inline void micro_edge(int mr, int nr, int kc, const float* __restrict__ a,
-                       std::ptrdiff_t lda, const float* __restrict__ b, int ldb,
-                       float* __restrict__ c, int ldc) {
-  float acc[MR][NR];
-  for (int ir = 0; ir < mr; ++ir) {
-    for (int jr = 0; jr < nr; ++jr) acc[ir][jr] = c[ir * ldc + jr];
-  }
-  for (int p = 0; p < kc; ++p) {
-    const float* __restrict__ brow = b + static_cast<std::ptrdiff_t>(p) * ldb;
-    for (int ir = 0; ir < mr; ++ir) {
-      const float av = AT ? a[p * lda + ir] : a[ir * lda + p];
-      for (int jr = 0; jr < nr; ++jr) acc[ir][jr] += av * brow[jr];
-    }
-  }
-  for (int ir = 0; ir < mr; ++ir) {
-    for (int jr = 0; jr < nr; ++jr) c[ir * ldc + jr] = acc[ir][jr];
-  }
-}
-
-// Shared driver for gemm / gemm_at_b. Loop order jc -> pc -> ic keeps p
-// ascending for every output element across KC blocks. lda is the leading
-// dimension of A as stored: k for AT=false ([m,k]), m for AT=true ([k,m]).
-template <bool AT>
-void gemm_blocked(int m, int n, int k, const float* a, std::ptrdiff_t lda,
-                  const float* b, float* c) {
-  for (int jc = 0; jc < n; jc += NC) {
-    const int nc = std::min(NC, n - jc);
-    for (int pc = 0; pc < k; pc += KC) {
-      const int kc = std::min(KC, k - pc);
-      for (int ic = 0; ic < m; ic += MC) {
-        const int mc = std::min(MC, m - ic);
-        for (int j = 0; j < nc; j += NR) {
-          const int nr = std::min(NR, nc - j);
-          for (int i = 0; i < mc; i += MR) {
-            const int mr = std::min(MR, mc - i);
-            const float* at = AT ? a + static_cast<std::ptrdiff_t>(pc) * lda + (ic + i)
-                                 : a + static_cast<std::ptrdiff_t>(ic + i) * lda + pc;
-            const float* bt = b + static_cast<std::ptrdiff_t>(pc) * n + (jc + j);
-            float* ct = c + static_cast<std::ptrdiff_t>(ic + i) * n + (jc + j);
-            if (nr == NR) {
-              switch (mr) {
-                case 4: micro_full<AT, 4>(kc, at, lda, bt, n, ct, n); break;
-                case 3: micro_full<AT, 3>(kc, at, lda, bt, n, ct, n); break;
-                case 2: micro_full<AT, 2>(kc, at, lda, bt, n, ct, n); break;
-                default: micro_full<AT, 1>(kc, at, lda, bt, n, ct, n); break;
-              }
-            } else {
-              micro_edge<AT>(mr, nr, kc, at, lda, bt, n, ct, n);
-            }
-          }
-        }
-      }
-    }
-  }
-}
-
-// gemm_a_bt microkernels. Each C element is an independent
-// single-accumulator dot over the full k extent (matching the reference
-// chain: local accumulator from zero, one final add into C), so k is
-// never blocked and lanes are never split across one dot. The main path
-// packs B^T into a contiguous [k, n] buffer first: the reduction then
-// reads unit-stride rows and the MRT x NV vector tile applies, with each
-// lane carrying one whole chain.
-template <int MRT>
-inline void micro_abt(int k, const float* __restrict__ a, int lda,
-                      const float* __restrict__ bt, int ldb,
-                      float* __restrict__ c, int ldc) {
-  vf acc[MRT][NV] = {};
-  for (int p = 0; p < k; ++p) {
-    const float* __restrict__ brow = bt + static_cast<std::ptrdiff_t>(p) * ldb;
-    vf bv[NV];
-    for (int jv = 0; jv < NV; ++jv) {
-      bv[jv] = *reinterpret_cast<const vf*>(brow + jv * VL);
-    }
-    for (int ir = 0; ir < MRT; ++ir) {
-      const float av = a[ir * lda + p];
-      for (int jv = 0; jv < NV; ++jv) acc[ir][jv] += av * bv[jv];
-    }
-  }
-  for (int ir = 0; ir < MRT; ++ir) {
-    for (int jv = 0; jv < NV; ++jv) {
-      vf* cv = reinterpret_cast<vf*>(c + ir * ldc + jv * VL);
-      *cv = *cv + acc[ir][jv];
-    }
-  }
-}
-
-// Column remainder: scalar DR x DC tile of dots against the original
-// [n, k] layout (rows are contiguous there, so the loads stay unit
-// stride without packing).
-constexpr int DR = 2;
-constexpr int DC = 4;
-
-inline void micro_dot_edge(int dr, int dc, int k, const float* __restrict__ a,
-                           int lda, const float* __restrict__ b, int ldb,
-                           float* __restrict__ c, int ldc) {
-  float acc[DR][DC] = {};
-  for (int p = 0; p < k; ++p) {
-    for (int ir = 0; ir < dr; ++ir) {
-      const float av = a[static_cast<std::ptrdiff_t>(ir) * lda + p];
-      for (int jr = 0; jr < dc; ++jr) {
-        acc[ir][jr] += av * b[static_cast<std::ptrdiff_t>(jr) * ldb + p];
-      }
-    }
-  }
-  for (int ir = 0; ir < dr; ++ir) {
-    for (int jr = 0; jr < dc; ++jr) c[ir * ldc + jr] += acc[ir][jr];
-  }
-}
+const GemmVariant& active() { return gemm_variants().back(); }
 
 constexpr int TS = 32;  // transpose tile (floats); 2 * 4KB per tile pair
 
 }  // namespace
+
+const std::vector<GemmVariant>& gemm_variants() {
+  static const std::vector<GemmVariant> variants = detect_variants();
+  return variants;
+}
+
+const char* kernel_isa() { return active().isa; }
+
+float* detail::pack_buffer(std::size_t n) {
+  static thread_local std::vector<float> packed;
+  packed.resize(n);
+  return packed.data();
+}
 
 void gemm(int m, int n, int k, const float* a, const float* b, float* c) {
   // GEMM is the NN hot path; the counter costs one relaxed load when
@@ -205,51 +50,19 @@ void gemm(int m, int n, int k, const float* a, const float* b, float* c) {
   // throughput without instrumenting any caller.
   util::metrics::counter_add("nn.gemm_calls");
   util::metrics::counter_add("nn.gemm_flops", 2LL * m * n * k);
-  gemm_blocked<false>(m, n, k, a, /*lda=*/k, b, c);
+  active().gemm(m, n, k, a, b, c);
 }
 
 void gemm_at_b(int m, int n, int k, const float* a, const float* b, float* c) {
   util::metrics::counter_add("nn.gemm_calls");
   util::metrics::counter_add("nn.gemm_flops", 2LL * m * n * k);
-  gemm_blocked<true>(m, n, k, a, /*lda=*/m, b, c);
+  active().gemm_at_b(m, n, k, a, b, c);
 }
 
 void gemm_a_bt(int m, int n, int k, const float* a, const float* b, float* c) {
   util::metrics::counter_add("nn.gemm_calls");
   util::metrics::counter_add("nn.gemm_flops", 2LL * m * n * k);
-  const int n_main = n - n % NR;
-  if (n_main > 0) {
-    // Pack the leading n_main rows of B ([n, k] row major) as B^T
-    // ([k, n_main]) so the vector microkernel streams unit-stride rows.
-    // The buffer is recycled across calls: steady state allocates
-    // nothing (same contract as the tensor arena).
-    static thread_local std::vector<float> packed;
-    packed.resize(static_cast<std::size_t>(k) * n_main);
-    transpose_copy(n_main, k, b, packed.data());
-    for (int i = 0; i < m; i += MR) {
-      const int mr = std::min(MR, m - i);
-      const float* at = a + static_cast<std::ptrdiff_t>(i) * k;
-      for (int j = 0; j < n_main; j += NR) {
-        const float* bt = packed.data() + j;
-        float* ct = c + static_cast<std::ptrdiff_t>(i) * n + j;
-        switch (mr) {
-          case 4: micro_abt<4>(k, at, k, bt, n_main, ct, n); break;
-          case 3: micro_abt<3>(k, at, k, bt, n_main, ct, n); break;
-          case 2: micro_abt<2>(k, at, k, bt, n_main, ct, n); break;
-          default: micro_abt<1>(k, at, k, bt, n_main, ct, n); break;
-        }
-      }
-    }
-  }
-  for (int i = 0; i < m; i += DR) {
-    const int dr = std::min(DR, m - i);
-    for (int j = n_main; j < n; j += DC) {
-      const int dc = std::min(DC, n - j);
-      micro_dot_edge(dr, dc, k, a + static_cast<std::ptrdiff_t>(i) * k, k,
-                     b + static_cast<std::ptrdiff_t>(j) * k, k,
-                     c + static_cast<std::ptrdiff_t>(i) * n + j, n);
-    }
-  }
+  active().gemm_a_bt(m, n, k, a, b, c);
 }
 
 void gemm_naive(int m, int n, int k, const float* a, const float* b, float* c) {

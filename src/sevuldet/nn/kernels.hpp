@@ -7,20 +7,25 @@
 //   gemm_at_b C[m,n] += A[k,m]T * B[k,n]   (dB = A^T dOut)
 //   gemm_a_bt C[m,n] += A[m,k]  * B[n,k]T  (dA = dOut B^T)
 //
-// Every kernel is written for compiler auto-vectorization: unit-stride
-// inner loops, restrict-qualified pointers, register tiles that fit the
-// vector file. Configure with -DSEVULDET_NATIVE=ON for -march=native.
+// The GEMM family is compiled once per ISA (SSE2, AVX2, AVX-512; see
+// gemm_tiles.hpp) and the widest variant the CPU supports is chosen once
+// at startup by a cpuid check. The other kernels are written for
+// compiler auto-vectorization at the baseline ISA: unit-stride inner
+// loops, restrict-qualified pointers.
 //
 // Determinism contract: each output element's floating-point
 // accumulation chain is IDENTICAL to the retained *_naive reference
 // (terms added in ascending reduction order, one accumulator per
 // element). Cache blocking reloads the partial C tile instead of
-// re-associating, so blocked and naive results are byte-identical —
-// tests/kernels_test.cpp asserts this bitwise over adversarial shapes.
+// re-associating, so blocked and naive results are byte-identical on
+// every ISA variant — tests/kernels_test.cpp asserts this bitwise for
+// each variant the host supports, over adversarial shapes. Results (and
+// so model files and fingerprints) do not depend on the CPU.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 namespace sevuldet::nn::kernels {
 
@@ -31,6 +36,23 @@ void gemm(int m, int n, int k, const float* a, const float* b, float* c);
 void gemm_at_b(int m, int n, int k, const float* a, const float* b, float* c);
 /// C[m,n] += A * B^T with B stored [n,k] (dot-product form).
 void gemm_a_bt(int m, int n, int k, const float* a, const float* b, float* c);
+
+// --- ISA dispatch -----------------------------------------------------------
+/// One compiled instance of the fp32 GEMM family.
+struct GemmVariant {
+  const char* isa;  // "sse2", "avx2", "avx512" ("generic" off x86)
+  void (*gemm)(int m, int n, int k, const float* a, const float* b, float* c);
+  void (*gemm_at_b)(int m, int n, int k, const float* a, const float* b,
+                    float* c);
+  void (*gemm_a_bt)(int m, int n, int k, const float* a, const float* b,
+                    float* c);
+};
+/// Every variant this build carries that the running CPU can execute,
+/// narrowest first. The last one is what gemm / gemm_at_b / gemm_a_bt
+/// dispatch to; tests run each against the naive oracles.
+const std::vector<GemmVariant>& gemm_variants();
+/// ISA name of the dispatched variant (the `nn.kernel_isa` label).
+const char* kernel_isa();
 
 // Naive references, retained as the exactness oracle (identical
 // accumulation chains, no blocking). The forward reference carries no

@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "sevuldet/nn/kernels.hpp"
 #include "sevuldet/util/json.hpp"
 #include "sevuldet/util/metrics.hpp"
 #include "sevuldet/util/metrics_export.hpp"
@@ -71,6 +72,7 @@ void Server::run() {
     // scraper expects so the first exposition already carries them at 0
     // (check_metrics.py's monotonicity check differences two scrapes).
     util::metrics::set_enabled(true);
+    util::metrics::label_set("nn.kernel_isa", nn::kernels::kernel_isa());
     util::metrics::counter_add("serve.connections", 0);
     util::metrics::counter_add("serve.requests", 0);
     util::metrics::counter_add("serve.slowtrace.captured", 0);
@@ -524,6 +526,8 @@ std::string Server::status_json() const {
   json::append_number(out, static_cast<double>(arena_bytes));
   out += ",\"threads\":";
   json::append_number(out, options_.threads);
+  out += ",\"kernel_isa\":";
+  json::append_string(out, nn::kernels::kernel_isa());
   out += ",\"connections\":{\"active\":";
   json::append_number(out, connections_active_.load());
   out += ",\"total\":";

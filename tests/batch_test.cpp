@@ -11,11 +11,14 @@
 
 #include <cmath>
 #include <cstring>
+#include <set>
+#include <stdexcept>
 #include <vector>
 
 #include "sevuldet/models/birnn_net.hpp"
 #include "sevuldet/models/sevuldet_net.hpp"
 #include "sevuldet/nn/autograd.hpp"
+#include "sevuldet/util/metrics.hpp"
 
 namespace sm = sevuldet::models;
 namespace nn = sevuldet::nn;
@@ -187,6 +190,141 @@ TEST(BatchTest, RepeatedCallsReuseScratchAndStayIdentical) {
     EXPECT_TRUE(bits_equal(first[i].token_weights, second[i].token_weights));
   }
   EXPECT_GT(net.scratch_bytes(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// per-call token-attention dedup (scores computed once per distinct id)
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// Gadgets drawn from a tiny id pool, so every id recurs across many
+/// length buckets; lengths 1-2 fall below the conv kernel (pad id 0).
+std::vector<std::vector<int>> make_repetitive_gadgets(int count) {
+  constexpr int kPool[] = {3, 9, 4, 9, 17, 3};
+  std::vector<std::vector<int>> gadgets;
+  for (int i = 0; i < count; ++i) {
+    const int len = 1 + (i * 7) % 29;
+    std::vector<int> ids(static_cast<std::size_t>(len));
+    for (int j = 0; j < len; ++j) {
+      ids[static_cast<std::size_t>(j)] = kPool[(i + j) % 6];
+    }
+    gadgets.push_back(std::move(ids));
+  }
+  return gadgets;
+}
+
+/// The context vector u_w starts at zero, which makes every token's
+/// score 0 and alpha uniform; give it (and the bias) nonzero values so
+/// a score gathered for the wrong id shows in the outputs.
+void make_attention_selective(sm::SeVulDetNet& net) {
+  for (const auto& [name, node] : net.params().all()) {
+    if (name != "token_attn.u" && name != "token_attn.b") continue;
+    float* w = node->value.data();
+    for (std::size_t i = 0; i < node->value.size(); ++i) {
+      w[i] = 0.4f * std::sin(1.7f * static_cast<float>(i) + 0.3f);
+    }
+  }
+}
+
+}  // namespace
+
+TEST(BatchTest, DedupRepeatedIdsAcrossBucketsMatchesPerGadget) {
+  sm::SeVulDetNet net(small_config());
+  make_attention_selective(net);
+  const auto gadgets = make_repetitive_gadgets(23);
+  expect_batched_bitwise(net, gadgets, 23);
+  expect_batched_bitwise(net, gadgets, 4);
+}
+
+TEST(BatchTest, DedupScoresPadIdForGadgetsShorterThanKernel) {
+  sm::SeVulDetNet net(small_config());
+  make_attention_selective(net);
+  ASSERT_EQ(net.config().conv_kernel, 3);
+  // No gadget contains id 0: it enters the call only as padding.
+  const std::vector<std::vector<int>> gadgets = {{5}, {6, 7}, {5, 6}, {8}};
+  expect_batched_bitwise(net, gadgets, 4);
+  // A batch mixing padded and unpadded gadgets sharing ids.
+  const std::vector<std::vector<int>> mixed = {{5}, {5, 6, 7, 8}, {7, 7}};
+  expect_batched_bitwise(net, mixed, 3);
+}
+
+TEST(BatchTest, DedupExplainCaptureStaysBitwise) {
+  sm::SeVulDetNet net(small_config());
+  make_attention_selective(net);
+  const auto gadgets = make_repetitive_gadgets(12);
+  expect_batched_bitwise(net, gadgets, 12, /*capture_spatial=*/true);
+}
+
+TEST(BatchTest, OutOfRangeIdThrowsAndTheModelStillScores) {
+  sm::SeVulDetNet net(small_config());
+  make_attention_selective(net);
+  const auto gadgets = make_repetitive_gadgets(9);
+  const int vocab = net.config().vocab_size;
+  for (const int bad : {vocab, -1}) {
+    std::vector<std::vector<int>> poisoned = gadgets;
+    poisoned[5].push_back(bad);
+    std::vector<sm::BatchItem> items;
+    for (const auto& ids : poisoned) items.push_back({&ids, false});
+    std::vector<sm::Prediction> out(items.size());
+    EXPECT_THROW(net.predict_batch(items.data(), items.size(), out.data()),
+                 std::out_of_range)
+        << "id " << bad;
+    expect_batched_bitwise(net, gadgets, 9);
+  }
+}
+
+TEST(BatchTest, InPlaceWeightEditsReachTheNextCall) {
+  // Training updates parameters in place between scoring calls; no
+  // attention score may survive from one predict_batch call to the next.
+  sm::SeVulDetNet net(small_config());
+  const auto gadgets = make_repetitive_gadgets(15);
+  std::vector<sm::BatchItem> items;
+  for (const auto& ids : gadgets) items.push_back({&ids, false});
+  const auto before = net.predict_batch(items);
+  for (const auto& [name, node] : net.params().all()) {
+    if (name != "embedding" && name.rfind("token_attn.", 0) != 0) continue;
+    float* w = node->value.data();
+    for (std::size_t i = 0; i < node->value.size(); ++i) {
+      w[i] += 0.05f * static_cast<float>(static_cast<int>(i % 7) - 3);
+    }
+  }
+  const auto after = net.predict_batch(items);
+  const auto expected = reference_predictions(net, gadgets);
+  bool changed = false;
+  for (std::size_t i = 0; i < gadgets.size(); ++i) {
+    EXPECT_TRUE(bits_equal(after[i].probability, expected[i].probability))
+        << "gadget " << i;
+    EXPECT_TRUE(bits_equal(after[i].token_weights, expected[i].token_weights))
+        << "gadget " << i;
+    changed = changed || !bits_equal(after[i].token_weights,
+                                     before[i].token_weights);
+  }
+  EXPECT_TRUE(changed) << "the edit must move the attention weights";
+}
+
+TEST(BatchTest, DedupCountersReportTokenAndScoredRows) {
+  namespace metrics = sevuldet::util::metrics;
+  sm::SeVulDetNet net(small_config());
+  const auto gadgets = make_repetitive_gadgets(10);
+  std::vector<sm::BatchItem> items;
+  long long token_rows = 0;
+  std::set<int> distinct = {0};
+  for (const auto& ids : gadgets) {
+    items.push_back({&ids, false});
+    token_rows += std::max<long long>(static_cast<long long>(ids.size()),
+                                      net.config().conv_kernel);
+    distinct.insert(ids.begin(), ids.end());
+  }
+  metrics::reset();
+  metrics::set_enabled(true);
+  net.predict_batch(items);
+  const auto snap = metrics::snapshot();
+  metrics::set_enabled(false);
+  metrics::reset();
+  EXPECT_EQ(snap.counters.at("nn.attn.token_rows"), token_rows);
+  EXPECT_EQ(snap.counters.at("nn.attn.scored_rows"),
+            static_cast<long long>(distinct.size()));
 }
 
 // ---------------------------------------------------------------------------

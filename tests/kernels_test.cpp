@@ -59,7 +59,114 @@ const GemmShape kShapes[] = {
     {1, 256, 224}, {1, 64, 256}, {1, 1, 64},   {64, 256, 256},
     {65, 257, 257}, {130, 300, 310}};
 
+// The model's narrow and odd output widths (n = 1 attention scores and
+// fc3, n = 16 convolutions, every vector-width remainder) against its
+// reduction depths and the KC boundary, at row counts that leave row
+// tails (9 = an 8-row tile + 1) and cross the MC block.
+std::vector<GemmShape> variant_shapes() {
+  std::vector<GemmShape> shapes(std::begin(kShapes), std::end(kShapes));
+  for (const int m : {1, 3, 9, 17, 70}) {
+    for (const int n : {1, 2, 3, 4, 5, 8, 9, 15, 16, 17, 24, 31, 32, 33}) {
+      for (const int k : {1, 14, 24, 72, 255, 256, 257, 300}) {
+        shapes.push_back({m, n, k});
+      }
+    }
+  }
+  return shapes;
+}
+
+using GemmFn = void (*)(int, int, int, const float*, const float*, float*);
+
+// Runs `variant_fn` and `naive` on the same inputs; A is [m,k] or [k,m]
+// and B [k,n] or [n,k] by form, which only changes the buffer sizes.
+// When `poison` is set, A gets exact zeros and B a NaN and an Inf, so
+// 0 * NaN and 0 * Inf terms must poison their outputs.
+::testing::AssertionResult variant_matches_naive(GemmFn variant_fn,
+                                                 GemmFn naive,
+                                                 const GemmShape& s, Rng& rng,
+                                                 bool poison) {
+  auto a = random_vec(static_cast<std::size_t>(s.m) * s.k, rng);
+  auto b = random_vec(static_cast<std::size_t>(s.k) * s.n, rng);
+  if (poison && !b.empty()) {
+    for (std::size_t i = 0; i < a.size(); i += 3) a[i] = 0.0f;
+    b[b.size() / 2] = std::numeric_limits<float>::quiet_NaN();
+    b.front() = std::numeric_limits<float>::infinity();
+  }
+  auto c_ref = random_vec(static_cast<std::size_t>(s.m) * s.n, rng);
+  auto c_var = c_ref;
+  naive(s.m, s.n, s.k, a.data(), b.data(), c_ref.data());
+  variant_fn(s.m, s.n, s.k, a.data(), b.data(), c_var.data());
+  for (std::size_t i = 0; i < c_ref.size(); ++i) {
+    // NaN payloads may legitimately differ with operand order; NaN-ness
+    // may not.
+    const bool both_nan = std::isnan(c_ref[i]) && std::isnan(c_var[i]);
+    if (!both_nan && std::memcmp(&c_ref[i], &c_var[i], sizeof(float)) != 0) {
+      return ::testing::AssertionFailure()
+             << s.m << "x" << s.n << "x" << s.k << " element " << i << ": "
+             << c_var[i] << " vs naive " << c_ref[i];
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
 }  // namespace
+
+// ---------------------------------------------------------------------------
+// every compiled ISA variant the host supports vs naive references
+// ---------------------------------------------------------------------------
+
+TEST(KernelsTest, DispatchRunsTheWidestSupportedVariant) {
+  const auto& variants = kernels::gemm_variants();
+  ASSERT_FALSE(variants.empty());
+  EXPECT_STREQ(kernels::kernel_isa(), variants.back().isa);
+#if defined(__x86_64__)
+  EXPECT_STREQ(variants.front().isa, "sse2");
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("avx512f")) {
+    EXPECT_STREQ(kernels::kernel_isa(), "avx512");
+  } else if (__builtin_cpu_supports("avx2")) {
+    EXPECT_STREQ(kernels::kernel_isa(), "avx2");
+  }
+#endif
+}
+
+TEST(KernelsTest, EveryVariantMatchesNaiveBitwise) {
+  const auto shapes = variant_shapes();
+  for (const kernels::GemmVariant& v : kernels::gemm_variants()) {
+    Rng rng(29);
+    auto check = [&](const GemmShape& s, bool poison) {
+      EXPECT_TRUE(variant_matches_naive(v.gemm, kernels::gemm_naive, s, rng,
+                                        poison))
+          << v.isa << " gemm";
+      EXPECT_TRUE(variant_matches_naive(v.gemm_at_b, kernels::gemm_at_b_naive,
+                                        s, rng, poison))
+          << v.isa << " gemm_at_b";
+      EXPECT_TRUE(variant_matches_naive(v.gemm_a_bt, kernels::gemm_a_bt_naive,
+                                        s, rng, poison))
+          << v.isa << " gemm_a_bt";
+    };
+    for (const auto& s : shapes) {
+      check(s, /*poison=*/false);
+      // Poisoning every shape would double the run time; the 9-row
+      // shapes reach every tile kind.
+      if (s.m == 9) check(s, /*poison=*/true);
+    }
+  }
+}
+
+TEST(KernelsTest, EveryVariantPropagatesZeroTimesNan) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float a[2] = {0.0f, 0.0f};
+  const float b[2] = {nan, 5.0f};
+  for (const kernels::GemmVariant& v : kernels::gemm_variants()) {
+    for (const GemmFn fn : {v.gemm, v.gemm_at_b, v.gemm_a_bt}) {
+      // [1,2] x [2,1] is the same buffer set in all three layouts.
+      float c = 0.0f;
+      fn(1, 1, 2, a, b, &c);
+      EXPECT_TRUE(std::isnan(c)) << v.isa << ": 0 * NaN must poison";
+    }
+  }
+}
 
 // ---------------------------------------------------------------------------
 // blocked GEMM family vs naive references, bitwise

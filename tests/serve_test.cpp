@@ -20,6 +20,7 @@
 #include "sevuldet/core/scan.hpp"
 #include "sevuldet/dataset/sard_generator.hpp"
 #include "sevuldet/nn/autograd.hpp"
+#include "sevuldet/nn/kernels.hpp"
 #include "sevuldet/serve/client.hpp"
 #include "sevuldet/serve/protocol.hpp"
 #include "sevuldet/serve/server.hpp"
@@ -666,6 +667,29 @@ TEST(ServeTelemetry, MetricsOpServesJsonAndPrometheus) {
   EXPECT_NE(std::string::npos,
             text.find("# TYPE sevuldet_serve_requests counter"));
   EXPECT_NE(std::string::npos, text.find("sevuldet_serve_request_ms_bucket"));
+}
+
+/// The dispatched GEMM ISA is visible on every status surface, and the
+/// token-attention dedup ratio can be read off two counters.
+TEST(ServeTelemetry, ExportsKernelIsaAndAttentionDedupCounters) {
+  auto& f = fixture();
+  RunningServer running(telemetry_options("kernel-isa"));
+  auto client = serve::Client::connect(running.server.options().socket_path);
+  ASSERT_TRUE(client.has_value());
+  client->scan(f.vulnerable_source);
+
+  const std::string isa = sevuldet::nn::kernels::kernel_isa();
+  mini_json::Value status = mini_json::parse(client->report_status());
+  EXPECT_EQ(isa, status.at("kernel_isa").str);
+  mini_json::Value doc = mini_json::parse(client->metrics("json"));
+  const mini_json::Value& metrics = doc.at("metrics");
+  EXPECT_EQ(isa, metrics.at("labels").at("nn.kernel_isa").str);
+  const double token_rows =
+      metrics.at("counters").at("nn.attn.token_rows").number;
+  const double scored_rows =
+      metrics.at("counters").at("nn.attn.scored_rows").number;
+  EXPECT_GT(scored_rows, 0.0);
+  EXPECT_GE(token_rows, scored_rows);
 }
 
 /// The resource ring fills on the snapshotter's cadence; the history
