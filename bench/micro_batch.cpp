@@ -1,6 +1,6 @@
 // Batched-inference microbenchmark: the length-bucketed predict_batch
-// engine vs the per-gadget autograd forward, across batch sizes and
-// forward precisions. Records BENCH_batch.json in the metrics-registry
+// engine vs the per-gadget autograd forward, across batch sizes.
+// Records BENCH_batch.json in the metrics-registry
 // schema; absolute scans/s gauges are informational (suffix
 // _scans_per_s never gates), the committed baseline's "speedups"
 // section gates the machine-independent ratio instead:
@@ -23,7 +23,7 @@
 // autograd graph per gadget.
 // The bench is also a correctness harness: before timing anything it
 // scores every gadget once through predict_batch and once through
-// predict_captured and exits 4 unless the fp32 results (probability and
+// predict_captured and exits 4 unless the results (probability and
 // attention read-outs) are bit-identical. The steady-state batched pass
 // is alloc-counted (this TU overrides operator new) — after warmup a
 // batch must allocate nothing (counter bench.batch32.allocs_per_pass).
@@ -196,8 +196,7 @@ int main(int argc, char** argv) {
     metrics::gauge_set(name, value);
   };
 
-  // Per-gadget fp32 reference (the pre-batching serve/eval loop).
-  net.set_precision(sm::Precision::kFp32);
+  // Per-gadget reference (the pre-batching serve/eval loop).
   record("bench.single.fp32_scans_per_s", best_of_reps([&] {
            nn::Graph graph;
            for (const auto& ids : gadgets) {
@@ -206,7 +205,7 @@ int main(int argc, char** argv) {
            }
          }));
 
-  // Batch-size sweep at fp32, then the quantized paths at batch 32.
+  // Batch-size sweep.
   for (const int batch : {8, 32, gadget_count}) {
     const std::string name = batch == gadget_count
                                  ? "bench.batchfull.fp32_scans_per_s"
@@ -214,14 +213,6 @@ int main(int argc, char** argv) {
                                        ".fp32_scans_per_s";
     record(name, best_of_reps([&] { batched_pass(batch); }));
   }
-  for (const sm::Precision precision :
-       {sm::Precision::kFp16, sm::Precision::kInt8}) {
-    net.set_precision(precision);
-    record(std::string("bench.batch32.") + sm::precision_name(precision) +
-               "_scans_per_s",
-           best_of_reps([&] { batched_pass(32); }));
-  }
-  net.set_precision(sm::Precision::kFp32);
 
   // Steady-state allocation count: one warm batched pass must not touch
   // the heap (scratch and bucket vectors are recycled).

@@ -9,7 +9,6 @@
 //
 //   micro_serve --model MODEL [--socket SOCK] [--qps "50,100,200"]
 //               [--secs S] [--clients C] [--reps R] [--json PATH]
-//               [--precision fp32|fp16|int8]
 //               [--telemetry] [--telemetry-compare]
 //
 // --telemetry self-hosts the daemon with the live telemetry plane on
@@ -21,13 +20,6 @@
 // check_bench.py's machine-independent `speedups` ratio rule
 // (BENCH_telemetry.json: on/off >= 0.99) gates the < 1% exposition
 // overhead without wall-clock flakiness.
-//
-// --precision runs the whole sweep at that forward precision: the
-// in-process reference findings AND the self-hosted daemon both use it,
-// so the byte-equivalence check still gates (quantized daemon replies
-// must match quantized in-process replies exactly — same clone, same
-// arithmetic). Non-fp32 runs record their rows under bench.<precision>.*
-// so BENCH_serve.json can hold fp32 and int8 rows side by side.
 //
 // When a daemon is already listening on --socket the bench drives it
 // (the CI mode — a separate `sevuldet serve` process); otherwise it
@@ -90,23 +82,19 @@ struct Workload {
 
 /// A handful of scan inputs with their in-process reference findings.
 /// Deterministic (fixed seed), so every rep and every CI run scans the
-/// same programs. The reference scans run at the sweep's precision so
-/// the daemon-equivalence check compares like with like.
-Workload build_workload(sc::SeVulDet& detector,
-                        sevuldet::models::Precision precision) {
+/// same programs.
+Workload build_workload(sc::SeVulDet& detector) {
   sd::SardConfig config;
   config.pairs_per_category = 3;
   config.long_fraction = 0.0;
   config.seed = 404;
-  sc::DetectOptions detect_options;
-  detect_options.precision = precision;
   Workload workload;
   for (const auto& tc : sd::generate_sard_like(config)) {
     if (workload.sources.size() >= 4) break;
     if (!tc.vulnerable) continue;
     workload.sources.push_back(tc.source);
     workload.expected.push_back(
-        serve::findings_to_json(detector.detect(tc.source, detect_options)));
+        serve::findings_to_json(detector.detect(tc.source)));
   }
   if (workload.sources.empty()) {
     std::fprintf(stderr, "workload generation produced no sources\n");
@@ -274,7 +262,6 @@ int main(int argc, char** argv) {
   double secs = 2.0;
   int clients = 4;
   int reps = bench::env_int("SEVULDET_BENCH_REPS", 2);
-  sevuldet::models::Precision precision = sevuldet::models::Precision::kFp32;
   bool telemetry = false;
   bool telemetry_compare = false;
   for (int i = 1; i < argc; ++i) {
@@ -291,18 +278,12 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--clients") == 0) clients = std::atoi(argv[i + 1]);
     if (std::strcmp(argv[i], "--reps") == 0) reps = std::atoi(argv[i + 1]);
     if (std::strcmp(argv[i], "--json") == 0) json_path = argv[i + 1];
-    if (std::strcmp(argv[i], "--precision") == 0 &&
-        !sevuldet::models::parse_precision(argv[i + 1], &precision)) {
-      std::fprintf(stderr, "bad --precision '%s' (expected fp32|fp16|int8)\n",
-                   argv[i + 1]);
-      return 2;
-    }
   }
   if (model_path == nullptr) {
     std::fprintf(stderr,
                  "usage: micro_serve --model MODEL [--socket SOCK] "
                  "[--qps LIST] [--secs S] [--clients C] [--reps R] "
-                 "[--json PATH] [--precision fp32|fp16|int8]\n");
+                 "[--json PATH]\n");
     return 2;
   }
   clients = std::max(1, clients);
@@ -324,7 +305,7 @@ int main(int argc, char** argv) {
   config.model.conv_channels = 16;
   sc::SeVulDet detector(config);
   detector.load(model_path);
-  const Workload workload = build_workload(detector, precision);
+  const Workload workload = build_workload(detector);
 
   // Self-hosted daemon options; `telemetry_on` adds the live plane the
   // way the obs-gate runs it: snapshotter + access log (slow tracing
@@ -334,7 +315,6 @@ int main(int argc, char** argv) {
     options.socket_path = socket_path;
     options.threads = std::max(2, bench::bench_threads());
     options.queue_depth = 256;
-    options.precision = precision;
     if (telemetry_on) {
       options.telemetry = true;
       options.telemetry_interval_ms = 250.0;
@@ -415,9 +395,9 @@ int main(int argc, char** argv) {
     }
   }
   std::printf(
-      "driving %s daemon at %s (%d client(s), %d rep(s), %.1fs/level, %s)\n",
+      "driving %s daemon at %s (%d client(s), %d rep(s), %.1fs/level)\n",
       external ? "external" : "self-hosted", socket_path.c_str(), clients, reps,
-      secs, sevuldet::models::precision_name(precision));
+      secs);
 
   std::atomic<long long> mismatches{0};
   std::vector<LevelResult> open_best(levels.size());
@@ -439,15 +419,10 @@ int main(int argc, char** argv) {
     server_thread.join();
   }
 
-  // fp32 rows keep the historical bench.* names; quantized sweeps nest
-  // under bench.<precision>.*, telemetry-on sweeps under
-  // <prefix>.telemetry.*, so one baseline holds the variants side by
-  // side.
-  std::string row_prefix =
-      precision == sevuldet::models::Precision::kFp32
-          ? std::string("bench")
-          : std::string("bench.") + sevuldet::models::precision_name(precision);
-  if (telemetry && !external) row_prefix += ".telemetry";
+  // Telemetry-on sweeps record under bench.telemetry.*, so one baseline
+  // holds both variants side by side.
+  const std::string row_prefix =
+      telemetry && !external ? "bench.telemetry" : "bench";
   sevuldet::util::Table table(
       {"load", "p50 ms", "p95 ms", "p99 ms", "achieved rps"});
   for (std::size_t i = 0; i < levels.size(); ++i) {

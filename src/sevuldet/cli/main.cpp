@@ -71,22 +71,20 @@ int usage() {
                "  sevuldet selftrain --out MODEL [--pairs N] [--epochs N]\n"
                "                     [--corpus-cache DIR] [--backend B]\n"
                "  sevuldet scan FILE.c --model MODEL [--daemon SOCK]\n"
-               "                [--precision P]\n"
                "  sevuldet scan DIR --model MODEL [--daemon SOCK]\n"
-               "                [--json FILE] [--threads N] [--precision P]\n"
+               "                [--json FILE] [--threads N]\n"
                "  sevuldet gadgets FILE.c [--plain]\n"
                "  sevuldet fuzz FILE.c [--execs N]\n"
                "  sevuldet train --dir DIR [--manifest TSV] --out MODEL\n"
                "                 [--backend B]\n"
                "  sevuldet export-corpus --dir DIR [--pairs N]\n"
                "  sevuldet explain FILE.c --model MODEL [--json FILE]\n"
-               "                  [--top N] [--precision P]\n"
+               "                  [--top N]\n"
                "  sevuldet report [--json FILE] [--pairs N] [--epochs N]\n"
-               "                  [--precision P] [--backend B]\n"
-               "                  [--compare B1,B2]\n"
+               "                  [--backend B] [--compare B1,B2]\n"
                "  sevuldet serve --model MODEL --socket SOCK [--threads N]\n"
                "                 [--queue-depth N] [--deadline MS]\n"
-               "                 [--precision P] [--no-telemetry]\n"
+               "                 [--no-telemetry]\n"
                "                 [--telemetry-interval MS] [--history N]\n"
                "                 [--access-log FILE [--access-log-max-bytes N]\n"
                "                  [--access-log-max-files N]]\n"
@@ -127,12 +125,6 @@ int usage() {
                "  identical to --threads 1. --w2v-threads N additionally\n"
                "  parallelizes word2vec pre-training (Hogwild, result is then\n"
                "  nondeterministic; default 1).\n"
-               "\n"
-               "  --precision P selects the inference precision: fp32 (exact\n"
-               "  reference, default), fp16 or int8 (quantized conv/FC GEMMs —\n"
-               "  faster, with a small bounded score drift; the quality gate\n"
-               "  holds F1/AUC floors for int8). report evaluates its held-out\n"
-               "  fold at P; training itself always runs fp32.\n"
                "\n"
                "  --backend B picks the detector backend for commands that\n"
                "  train from scratch: cnn (TextCNN+CBAM, default) or gat\n"
@@ -175,19 +167,6 @@ bool has_flag(int argc, char** argv, const char* flag) {
     if (std::strcmp(argv[i], flag) == 0) return true;
   }
   return false;
-}
-
-/// Shared --precision handling for the inference commands. Returns false
-/// (after an error message) on an unknown value.
-bool apply_precision_flag(int argc, char** argv, models::Precision* out) {
-  if (const char* text = arg_value(argc, argv, "--precision")) {
-    if (!models::parse_precision(text, out)) {
-      std::fprintf(stderr, "bad --precision '%s' (expected fp32|fp16|int8)\n",
-                   text);
-      return false;
-    }
-  }
-  return true;
 }
 
 /// Shared --backend handling for every command that builds or trains a
@@ -334,11 +313,7 @@ int cmd_scan_tree(int argc, char** argv) {
   core::SeVulDet detector(config);
   detector.load(model_path);
 
-  core::ScanOptions options;
-  if (!apply_precision_flag(argc, argv, &options.detect.precision)) {
-    return usage();
-  }
-  return finish(core::scan_tree(detector, root, options));
+  return finish(core::scan_tree(detector, root));
 }
 
 int cmd_scan(int argc, char** argv) {
@@ -370,9 +345,7 @@ int cmd_scan(int argc, char** argv) {
   core::SeVulDet detector(config);
   detector.load(model_path);
 
-  core::DetectOptions options;
-  if (!apply_precision_flag(argc, argv, &options.precision)) return usage();
-  return print_findings(argv[0], detector.detect(source, options));
+  return print_findings(argv[0], detector.detect(source));
 }
 
 int cmd_serve(int argc, char** argv) {
@@ -403,7 +376,6 @@ int cmd_serve(int argc, char** argv) {
   if (const char* deadline = arg_value(argc, argv, "--deadline")) {
     options.default_deadline_ms = std::atof(deadline);
   }
-  if (!apply_precision_flag(argc, argv, &options.precision)) return usage();
 
   // The live telemetry plane defaults ON for the CLI daemon (embedded
   // Server instances in tests/benches keep it off unless asked).
@@ -439,11 +411,10 @@ int cmd_serve(int argc, char** argv) {
 
   serve::Server server(detector, options);
   std::printf(
-      "serving on %s (%d worker(s), queue depth %d, %s, %s kernels, "
+      "serving on %s (%d worker(s), queue depth %d, %s kernels, "
       "telemetry %s)\n",
       socket_path, options.threads, options.queue_depth,
-      models::precision_name(options.precision), nn::kernels::kernel_isa(),
-      options.telemetry ? "on" : "off");
+      nn::kernels::kernel_isa(), options.telemetry ? "on" : "off");
   std::fflush(stdout);
   server.run();
   std::printf("shutdown complete: %s\n", server.status_json().c_str());
@@ -730,7 +701,6 @@ int cmd_explain(int argc, char** argv) {
 
   core::DetectOptions options;
   options.explain = true;
-  if (!apply_precision_flag(argc, argv, &options.precision)) return usage();
   if (const char* top = arg_value(argc, argv, "--top")) {
     options.top_k = std::atoi(top);
   }
@@ -778,7 +748,6 @@ int cmd_report(int argc, char** argv) {
   if (const char* epochs = arg_value(argc, argv, "--epochs")) {
     config.pipeline.train.epochs = std::atoi(epochs);
   }
-  if (!apply_precision_flag(argc, argv, &config.precision)) return usage();
   if (!apply_backend_flag(argc, argv, &config.pipeline.backend)) return usage();
   apply_thread_flags(argc, argv, config.pipeline);
 

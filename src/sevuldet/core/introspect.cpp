@@ -145,13 +145,10 @@ EvaluationReport run_quality_report(const ReportConfig& config) {
   report.train_seconds = train_result.seconds;
 
   // Held-out evaluation: the whole test fold is scored in one
-  // length-bucketed predict_batch call (training stays fp32; the
-  // requested precision applies to evaluation only), then every
-  // breakdown is fed from the returned probabilities.
+  // length-bucketed predict_batch call, then every breakdown is fed
+  // from the returned probabilities.
   util::trace::ScopedSpan eval_span("report.eval");
-  detector.model().set_precision(config.precision);
   report.backend = config.pipeline.backend;
-  report.precision = models::precision_name(config.precision);
   std::vector<models::BatchItem> items;
   items.reserve(split.test.size());
   for (std::size_t idx : split.test) {
@@ -220,8 +217,9 @@ std::string report_to_json(const EvaluationReport& report) {
   append_float_array(out, report.epoch_accuracies);
   out += "\n  },\n  \"evaluation\": {\n    \"backend\": ";
   json::append_string(out, report.backend);
-  out += ",\n    \"precision\": ";
-  json::append_string(out, report.precision);
+  // Scoring is always fp32; the key stays because report schema v1
+  // (and the committed QUALITY_*baseline.json files) carry it.
+  out += ",\n    \"precision\": \"fp32\"";
   out += ",\n    \"confusion\": {";
   append_confusion_fields(out, report.confusion);
   out += "},\n    \"fpr\": ";
@@ -280,8 +278,8 @@ std::string report_summary(const EvaluationReport& report) {
   for (float loss : report.epoch_losses) out += " " + util::fmt(loss, 4);
   out += "\nepoch accuracy:";
   for (float acc : report.epoch_accuracies) out += " " + pct(acc) + "%";
-  out += "\n\nheld-out fold (" + report.backend + ", " + report.precision +
-         "): " + report.confusion.summary() + " AUC=" + util::fmt(report.auc, 3) +
+  out += "\n\nheld-out fold (" + report.backend + ", fp32): " +
+         report.confusion.summary() + " AUC=" + util::fmt(report.auc, 3) +
          " ECE=" + util::fmt(report.calibration.ece, 3) + "\n\n";
 
   auto breakdown_table = [](const char* label,

@@ -28,10 +28,6 @@ struct ReportConfig {
   PipelineConfig pipeline;       // model + training settings
   int folds = 5;                 // k-fold split; the report uses fold 0
   std::uint64_t fold_seed = 17;
-  /// Forward precision for the held-out evaluation (training always runs
-  /// fp32). `sevuldet report --precision int8` feeds the quality gate's
-  /// quantized pass: the F1/AUC floors bound the quantization loss.
-  models::Precision precision = models::Precision::kFp32;
 };
 
 /// One breakdown row: the binary confusion restricted to a slice of the
@@ -62,8 +58,7 @@ struct EvaluationReport {
   double train_seconds = 0.0;
 
   // Held-out fold evaluation.
-  std::string backend = "cnn";     // detector backend the run trained
-  std::string precision = "fp32";  // forward precision the fold ran at
+  std::string backend = "cnn";  // detector backend the run trained
   dataset::Confusion confusion;
   double auc = 0.5;
   dataset::Calibration calibration;

@@ -203,13 +203,9 @@ std::vector<Finding> SeVulDet::detect(const std::string& source,
   const std::vector<slicer::SpecialToken> tokens =
       slicer::find_special_tokens(program);
 
-  if (model_->precision() != options.precision) {
-    model_->set_precision(options.precision);
-  }
-
   // Slice + normalize a chunk of special tokens, then score the chunk in
-  // one length-bucketed predict_batch call (same per-gadget results as
-  // scoring one at a time — bitwise at fp32 — but each bucket runs as
+  // one length-bucketed predict_batch call (bitwise the same per-gadget
+  // results as scoring one at a time, but each bucket runs as
   // large stacked GEMMs). Eval-mode forwards are deterministic, so which
   // model instance runs them does not change the result.
   std::vector<std::optional<Finding>> slots(tokens.size());

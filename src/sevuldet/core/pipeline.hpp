@@ -69,11 +69,6 @@ struct Finding {
 struct DetectOptions {
   int top_k = 10;       // attention tokens / attributions per finding
   bool explain = false; // fill Finding::attributions/spatial_attention
-  /// Forward precision for scoring (see models::Precision). fp32 is the
-  /// exact reference; fp16/int8 trade bounded score drift for speed (the
-  /// quality gate bounds the F1/AUC loss). Applied to the model — and
-  /// inherited by its per-worker clones — before scoring.
-  models::Precision precision = models::Precision::kFp32;
 };
 
 /// One sliced + normalized + encoded gadget of a scan, ready for batched

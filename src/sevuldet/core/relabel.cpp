@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "sevuldet/dataset/kfold.hpp"
-#include "sevuldet/nn/autograd.hpp"
 
 namespace sevuldet::core {
 
@@ -17,16 +16,25 @@ std::vector<SuspectLabel> find_suspect_labels(const dataset::Corpus& corpus,
   for (const auto& split : splits) {
     auto detector = factory(corpus.vocab.size());
     train_detector(*detector, sample_refs(corpus, split.train), config.train);
-    nn::Graph graph;
+    // Score the held-out fold the way it was trained: graph-aware items
+    // in one predict_batch call (graph backends see each sample's PDG).
+    std::vector<std::size_t> scored;
+    std::vector<models::BatchItem> items;
     for (std::size_t idx : split.test) {
       const auto& sample = corpus.samples[idx];
       if (sample.ids.empty()) continue;
-      nn::GraphScope scope(graph);
-      const float probability = detector->predict(sample.ids);
+      scored.push_back(idx);
+      items.push_back({&sample.ids, false, &sample.graph});
+    }
+    std::vector<models::Prediction> predictions(items.size());
+    detector->predict_batch(items.data(), items.size(), predictions.data());
+    for (std::size_t j = 0; j < scored.size(); ++j) {
+      const float probability = predictions[j].probability;
+      const int label = corpus.samples[scored[j]].label;
       const float disagreement =
-          std::fabs(probability - static_cast<float>(sample.label));
+          std::fabs(probability - static_cast<float>(label));
       if (disagreement >= config.confidence) {
-        suspects.push_back({idx, probability, sample.label});
+        suspects.push_back({scored[j], probability, label});
       }
     }
   }

@@ -179,12 +179,9 @@ FileScanResult scan_buffer(SeVulDet& detector, models::Detector& model,
   return result;
 }
 
-void apply_precision(SeVulDet& detector, const ScanOptions& options) {
+void require_trained(const SeVulDet& detector) {
   if (!detector.trained()) {
     throw std::logic_error("SeVulDet scan before train/load");
-  }
-  if (detector.model().precision() != options.detect.precision) {
-    detector.model().set_precision(options.detect.precision);
   }
 }
 
@@ -224,7 +221,7 @@ std::vector<std::string> list_scan_files(
 FileScanResult scan_source(SeVulDet& detector, const std::string& label,
                            std::string_view source,
                            const ScanOptions& options) {
-  apply_precision(detector, options);
+  require_trained(detector);
   return scan_buffer(detector, detector.model(), label, source, options,
                      options.preprocess.include_roots,
                      options.preprocess.current_dir);
@@ -232,7 +229,7 @@ FileScanResult scan_source(SeVulDet& detector, const std::string& label,
 
 FileScanResult scan_file(SeVulDet& detector, const std::string& path,
                          const ScanOptions& options) {
-  apply_precision(detector, options);
+  require_trained(detector);
   std::vector<std::string> roots = options.preprocess.include_roots;
   std::string dir = fs::path(path).parent_path().string();
   if (dir.empty()) dir = ".";
@@ -249,7 +246,7 @@ FileScanResult scan_file(SeVulDet& detector, const std::string& path,
 TreeScanResult scan_tree(SeVulDet& detector, const std::string& root,
                          const ScanOptions& options) {
   util::trace::ScopedSpan span("scan.tree");
-  apply_precision(detector, options);
+  require_trained(detector);
 
   TreeScanResult tree;
   tree.root = root;

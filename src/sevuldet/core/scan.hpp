@@ -97,6 +97,9 @@ struct TreeScanResult {
 std::vector<std::string> list_scan_files(
     const std::string& root, const std::vector<std::string>& extensions);
 
+/// scan_source, scan_file and scan_tree throw std::logic_error on a
+/// detector that was never trained or loaded.
+
 /// Scan one in-memory buffer; `label` is the path reported in results.
 FileScanResult scan_source(SeVulDet& detector, const std::string& label,
                            std::string_view source,

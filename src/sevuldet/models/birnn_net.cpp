@@ -24,7 +24,6 @@ BiRnnNet::BiRnnNet(ModelConfig config, nn::RnnKind kind, std::string name)
 std::unique_ptr<Detector> BiRnnNet::clone() const {
   auto copy = std::make_unique<BiRnnNet>(config_, kind_, name_);
   copy_parameters(store_, copy->store_);
-  copy->set_precision(precision_);  // bookkeeping only — BiRNNs score fp32
   return copy;
 }
 

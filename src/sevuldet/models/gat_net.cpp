@@ -177,7 +177,6 @@ void GatNet::predict_batch(const BatchItem* items, std::size_t count,
 std::unique_ptr<GatNet> GatNet::clone_gat() const {
   auto copy = std::make_unique<GatNet>(config_);
   copy_parameters(store_, copy->store_);
-  copy->set_precision(precision_);
   return copy;
 }
 

@@ -64,28 +64,6 @@ std::pair<int, float> Detector::predict_class(const std::vector<int>& tokens) {
   return {best, probs[static_cast<std::size_t>(best)]};
 }
 
-const char* precision_name(Precision precision) {
-  switch (precision) {
-    case Precision::kFp32: return "fp32";
-    case Precision::kFp16: return "fp16";
-    case Precision::kInt8: return "int8";
-  }
-  return "?";
-}
-
-bool parse_precision(const std::string& text, Precision* out) {
-  if (text == "fp32") {
-    *out = Precision::kFp32;
-  } else if (text == "fp16") {
-    *out = Precision::kFp16;
-  } else if (text == "int8") {
-    *out = Precision::kInt8;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 void Detector::predict_batch(const BatchItem* items, std::size_t count,
                              Prediction* out) {
   // Loop fallback: byte-identical to calling predict() per item (the

@@ -60,20 +60,6 @@ struct Prediction {
   std::vector<float> spatial_weights;  // CBAM Ms, filled only on request
 };
 
-/// Numeric precision of the eval-mode forward pass. fp32 is the exact
-/// reference (batched == per-gadget bitwise). fp16 quantizes the dense
-/// weight matrices and their input activations to binary16 before each
-/// GEMM (fp32 accumulation); int8 uses per-output-channel symmetric
-/// weight scales and per-row dynamic activation scales with int32
-/// accumulation. Both quantized modes keep the attention blocks and the
-/// final logit layer in fp32; training always runs fp32.
-enum class Precision { kFp32, kFp16, kInt8 };
-
-/// "fp32" / "fp16" / "int8".
-const char* precision_name(Precision precision);
-/// Parse "fp32" / "fp16" / "int8"; returns false on anything else.
-bool parse_precision(const std::string& text, Precision* out);
-
 /// One gadget in a predict_batch() call. `tokens` must outlive the call.
 /// `graph` is the gadget's PDG projection for graph backends (may stay
 /// null — sequence models ignore it, graph models fall back to a
@@ -139,21 +125,12 @@ class Detector {
   /// The base implementation is a loop over predict() — byte-identical
   /// to calling predict() per item, so callers never branch on model
   /// family. Models with a native batched engine (SeVulDetNet) override
-  /// this with length-bucketed large-GEMM inference; their fp32 output
-  /// is bitwise-identical to the loop.
+  /// this with length-bucketed large-GEMM inference; their output is
+  /// bitwise-identical to the loop.
   virtual void predict_batch(const BatchItem* items, std::size_t count,
                              Prediction* out);
   /// Convenience overload.
   std::vector<Prediction> predict_batch(const std::vector<BatchItem>& items);
-
-  /// Select the eval-mode forward precision. Implementations that
-  /// support quantized inference build their weight caches here (model
-  /// load / CLI --precision call this once, before any scoring);
-  /// others ignore everything but the bookkeeping and keep scoring in
-  /// fp32. Clones inherit the precision of the model they were cloned
-  /// from.
-  virtual void set_precision(Precision precision) { precision_ = precision; }
-  Precision precision() const { return precision_; }
 
   /// Deep copy with identical parameter values (and a fresh dropout
   /// RNG). A clone shares no mutable state with the original, so clones
@@ -170,7 +147,6 @@ class Detector {
  protected:
   explicit Detector(ModelConfig config) : config_(std::move(config)) {}
   ModelConfig config_;
-  Precision precision_ = Precision::kFp32;
 };
 
 /// Initialize an embedding-matrix parameter from pre-trained word2vec

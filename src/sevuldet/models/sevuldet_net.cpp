@@ -88,14 +88,13 @@ const std::vector<float>& SeVulDetNet::last_spatial_weights() const {
 std::unique_ptr<SeVulDetNet> SeVulDetNet::clone_net() const {
   auto copy = std::make_unique<SeVulDetNet>(config_);
   copy_parameters(store_, copy->store_);
-  copy->set_precision(precision_);  // rebuilds quant caches from the copy
   return copy;
 }
 
 // ---------------------------------------------------------------------------
 // Batched inference engine.
 //
-// The fp32 batched path must be BITWISE-identical to the per-gadget
+// The batched path must be BITWISE-identical to the per-gadget
 // autograd forward, so every stage below replicates the exact
 // floating-point chain of the corresponding nn:: op (same kernels, same
 // reduction order, same clamp sequence). Stacking S same-length gadgets
@@ -105,18 +104,6 @@ std::unique_ptr<SeVulDetNet> SeVulDetNet::clone_net() const {
 // ---------------------------------------------------------------------------
 
 namespace nk = nn::kernels;
-
-void SeVulDetNet::set_precision(Precision precision) {
-  precision_ = precision;
-  if (precision == Precision::kFp32) {
-    qconv1_ = QuantWeights{};
-    qconv2_ = QuantWeights{};
-    qfc1_ = QuantWeights{};
-    qfc2_ = QuantWeights{};
-  } else {
-    build_quant_cache();
-  }
-}
 
 const SeVulDetNet::ParamCache& SeVulDetNet::param_cache() {
   if (!pcache_.ready) {
@@ -151,77 +138,11 @@ const SeVulDetNet::ParamCache& SeVulDetNet::param_cache() {
   return pcache_;
 }
 
-void SeVulDetNet::build_quant_cache() {
-  auto build = [this](const char* name, QuantWeights& qw) {
-    const nn::Tensor& w = store_.find(name)->value;
-    const int rows = w.rows(), cols = w.cols();
-    qw.rows = rows;
-    qw.cols = cols;
-    qw.col_scale.assign(static_cast<std::size_t>(cols), 1.0f);
-    qw.q.assign(static_cast<std::size_t>(rows) * cols, 0);
-    for (int j = 0; j < cols; ++j) {
-      float amax = 0.0f;
-      for (int i = 0; i < rows; ++i) amax = std::max(amax, std::fabs(w.at(i, j)));
-      qw.col_scale[static_cast<std::size_t>(j)] = amax > 0.0f ? amax / 127.0f : 1.0f;
-    }
-    for (int i = 0; i < rows; ++i) {
-      for (int j = 0; j < cols; ++j) {
-        const float inv = 1.0f / qw.col_scale[static_cast<std::size_t>(j)];
-        long v = std::lrintf(w.at(i, j) * inv);
-        v = std::min(127L, std::max(-127L, v));
-        qw.q[static_cast<std::size_t>(i) * cols + j] = static_cast<std::int8_t>(v);
-      }
-    }
-    qw.half.resize(static_cast<std::size_t>(rows) * cols);
-    nk::float_to_half_buffer(qw.half.size(), w.data(), qw.half.data());
-  };
-  build("conv1.w", qconv1_);
-  build("conv2.w", qconv2_);
-  build("fc1.w", qfc1_);
-  build("fc2.w", qfc2_);
-}
-
 void SeVulDetNet::dense_head(int m, int k, int n, const float* act,
                              const nn::Tensor& w, const nn::Tensor& b,
-                             const QuantWeights& qw, bool apply_relu,
-                             float* out) {
-  BatchScratch& s = scratch_;
-  if (precision_ == Precision::kInt8 && !qw.q.empty()) {
-    // Per-row dynamic activation scale; int32 accumulation is exact.
-    s.qa.resize(static_cast<std::size_t>(m) * k);
-    s.row_scale.resize(static_cast<std::size_t>(m));
-    for (int i = 0; i < m; ++i) {
-      const float* row = act + static_cast<std::size_t>(i) * k;
-      float amax = 0.0f;
-      for (int p = 0; p < k; ++p) amax = std::max(amax, std::fabs(row[p]));
-      const float scale = amax > 0.0f ? amax / 127.0f : 1.0f;
-      s.row_scale[static_cast<std::size_t>(i)] = scale;
-      const float inv = 1.0f / scale;
-      std::int8_t* qrow = s.qa.data() + static_cast<std::size_t>(i) * k;
-      for (int p = 0; p < k; ++p) {
-        long v = std::lrintf(row[p] * inv);
-        qrow[p] = static_cast<std::int8_t>(std::min(127L, std::max(-127L, v)));
-      }
-    }
-    s.acc.assign(static_cast<std::size_t>(m) * n, 0);
-    nk::gemm_s8(m, n, k, s.qa.data(), qw.q.data(), s.acc.data());
-    for (int i = 0; i < m; ++i) {
-      const float sa = s.row_scale[static_cast<std::size_t>(i)];
-      for (int j = 0; j < n; ++j) {
-        const std::size_t idx = static_cast<std::size_t>(i) * n + j;
-        out[idx] = static_cast<float>(s.acc[idx]) *
-                   (sa * qw.col_scale[static_cast<std::size_t>(j)]);
-      }
-    }
-  } else if (precision_ == Precision::kFp16 && !qw.half.empty()) {
-    s.ha.resize(static_cast<std::size_t>(m) * k);
-    nk::float_to_half_buffer(s.ha.size(), act, s.ha.data());
-    std::fill(out, out + static_cast<std::size_t>(m) * n, 0.0f);
-    nk::gemm_f16(m, n, k, s.ha.data(), qw.half.data(), out);
-  } else {
-    std::fill(out, out + static_cast<std::size_t>(m) * n, 0.0f);
-    nk::gemm(m, n, k, act, w.data(), out);
-  }
+                             bool apply_relu, float* out) {
+  std::fill(out, out + static_cast<std::size_t>(m) * n, 0.0f);
+  nk::gemm(m, n, k, act, w.data(), out);
   const float* bias = b.data();
   for (int i = 0; i < m; ++i) {
     float* row = out + static_cast<std::size_t>(i) * n;
@@ -301,7 +222,7 @@ void SeVulDetNet::forward_bucket(const BatchItem* const* items,
     for (int sg = 0; sg < segs; ++sg) out[sg]->token_weights.clear();
   }
 
-  // conv1 = relu(im2row * W + b), quantizable.
+  // conv1 = relu(im2row * W + b).
   const int k1 = kk * e;
   s.im1.assign(static_cast<std::size_t>(rows1) * k1, 0.0f);
   for (int sg = 0; sg < segs; ++sg) {
@@ -319,10 +240,10 @@ void SeVulDetNet::forward_bucket(const BatchItem* const* items,
     }
   }
   s.f1.resize(static_cast<std::size_t>(rows1) * ch);
-  dense_head(rows1, k1, ch, s.im1.data(), *pc.conv1_w, *pc.conv1_b, qconv1_,
+  dense_head(rows1, k1, ch, s.im1.data(), *pc.conv1_w, *pc.conv1_b,
              /*apply_relu=*/true, s.f1.data());
 
-  // CBAM (eqs. 5-8), always fp32.
+  // CBAM (eqs. 5-8).
   const float* conv2_src = s.f1.data();
   if (cbam_) {
     // Channel attention: per-segment avg/max rows -> [segs, ch] through
@@ -460,7 +381,7 @@ void SeVulDetNet::forward_bucket(const BatchItem* const* items,
     for (int sg = 0; sg < segs; ++sg) out[sg]->spatial_weights.clear();
   }
 
-  // conv2 = relu(im2row * W + b), quantizable.
+  // conv2 = relu(im2row * W + b).
   const int k2c = kk * ch;
   s.im2.assign(static_cast<std::size_t>(rows2) * k2c, 0.0f);
   for (int sg = 0; sg < segs; ++sg) {
@@ -478,7 +399,7 @@ void SeVulDetNet::forward_bucket(const BatchItem* const* items,
     }
   }
   s.f2.resize(static_cast<std::size_t>(rows2) * ch);
-  dense_head(rows2, k2c, ch, s.im2.data(), *pc.conv2_w, *pc.conv2_b, qconv2_,
+  dense_head(rows2, k2c, ch, s.im2.data(), *pc.conv2_w, *pc.conv2_b,
              /*apply_relu=*/true, s.f2.data());
 
   // SPP per segment -> pooled [segs, spp_out] (exact spp_max clamps).
@@ -508,14 +429,14 @@ void SeVulDetNet::forward_bucket(const BatchItem* const* items,
     }
   }
 
-  // FC head: fc1/fc2 quantizable + ReLU (dropout is identity in eval),
-  // fc3 always fp32 (the logit layer stays exact).
+  // FC head: fc1/fc2 + ReLU (dropout is identity in eval), then the
+  // fc3 logit layer.
   s.h1.resize(static_cast<std::size_t>(segs) * config_.dense1);
   dense_head(segs, spp_out, config_.dense1, s.pooled.data(), *pc.fc1_w,
-             *pc.fc1_b, qfc1_, /*apply_relu=*/true, s.h1.data());
+             *pc.fc1_b, /*apply_relu=*/true, s.h1.data());
   s.h2.resize(static_cast<std::size_t>(segs) * config_.dense2);
   dense_head(segs, config_.dense1, config_.dense2, s.h1.data(), *pc.fc2_w,
-             *pc.fc2_b, qfc2_, /*apply_relu=*/true, s.h2.data());
+             *pc.fc2_b, /*apply_relu=*/true, s.h2.data());
   const int numout = std::max(1, config_.num_classes);
   s.logits.assign(static_cast<std::size_t>(segs) * numout, 0.0f);
   nk::gemm(segs, numout, config_.dense2, s.h2.data(), pc.fc3_w->data(),
@@ -656,13 +577,10 @@ std::size_t SeVulDetNet::scratch_bytes() const {
        {&s.x, &s.attn_u, &s.attn_scores, &s.alpha, &s.tok_x, &s.tok_score,
         &s.im1, &s.f1, &s.cb, &s.cb2, &s.im2, &s.f2, &s.ch_avg, &s.ch_max,
         &s.ch_mid, &s.ch_mlp, &s.mc, &s.sp_in, &s.sp_im, &s.ms, &s.pooled,
-        &s.h1, &s.h2, &s.logits, &s.row_scale}) {
+        &s.h1, &s.h2, &s.logits}) {
     floats += v->capacity();
   }
-  return floats * sizeof(float) + s.qa.capacity() * sizeof(std::int8_t) +
-         s.acc.capacity() * sizeof(std::int32_t) +
-         s.ha.capacity() * sizeof(std::uint16_t) +
-         tok_stamp_.capacity() * sizeof(std::uint32_t) +
+  return floats * sizeof(float) + tok_stamp_.capacity() * sizeof(std::uint32_t) +
          (tok_slot_.capacity() + tok_ids_.capacity()) * sizeof(int);
 }
 

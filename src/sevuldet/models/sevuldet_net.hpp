@@ -35,19 +35,15 @@ class SeVulDetNet : public Detector {
   /// token count and each group runs the whole trunk as large stacked
   /// GEMMs (embedding gather, token-attention MLP, conv1/conv2 im2row
   /// products, CBAM MLPs, FC head), with the per-gadget stages
-  /// (softmax, reductions, SPP) applied per row segment. At fp32 the
-  /// output is BITWISE-identical to calling predict_captured() per item
-  /// — stacking same-length gadgets changes neither any GEMM row's
-  /// accumulation chain nor any segment-local op (tests/batch_test.cpp
-  /// pins this). At fp16/int8 the conv/FC GEMMs run quantized (see
-  /// Precision). No autograd graph is built; scratch is reused across
-  /// calls, so steady-state batches allocate nothing.
+  /// (softmax, reductions, SPP) applied per row segment. The output is
+  /// BITWISE-identical to calling predict_captured() per item — stacking
+  /// same-length gadgets changes neither any GEMM row's accumulation
+  /// chain nor any segment-local op (tests/batch_test.cpp pins this). No
+  /// autograd graph is built; scratch is reused across calls, so
+  /// steady-state batches allocate nothing.
   void predict_batch(const BatchItem* items, std::size_t count,
                      Prediction* out) override;
   using Detector::predict_batch;  // keep the vector convenience overload
-
-  /// Build (or drop) the quantized weight caches for the batched path.
-  void set_precision(Precision precision) override;
 
   /// Bytes currently held by the batched engine's recycled scratch
   /// buffers (capacity, not size — vectors only grow, so this is the
@@ -59,18 +55,6 @@ class SeVulDetNet : public Detector {
   std::unique_ptr<Detector> clone() const override { return clone_net(); }
 
  private:
-  /// One weight matrix in the quantized formats the batched engine can
-  /// consume: int8 with per-output-channel (column) symmetric scales,
-  /// and binary16. Built once in set_precision (model load), read-only
-  /// during inference.
-  struct QuantWeights {
-    std::vector<std::int8_t> q;       // [rows, cols] int8
-    std::vector<float> col_scale;     // [cols] dequant scales
-    std::vector<std::uint16_t> half;  // [rows, cols] binary16
-    int rows = 0;
-    int cols = 0;
-  };
-
   /// Recycled buffers of the batched engine (per model instance; clones
   /// own their own, so per-worker clones batch concurrently).
   struct BatchScratch {
@@ -80,10 +64,6 @@ class SeVulDetNet : public Detector {
     std::vector<float> ch_avg, ch_max, ch_mid, ch_mlp, mc;
     std::vector<float> sp_in, sp_im, ms;
     std::vector<float> pooled, h1, h2, logits;
-    std::vector<std::int8_t> qa;      // quantized activations
-    std::vector<std::int32_t> acc;    // int8 GEMM accumulators
-    std::vector<std::uint16_t> ha;    // fp16 activations
-    std::vector<float> row_scale;     // per-row activation scales
   };
 
   /// Parameter tensors the batched engine reads, resolved from store_
@@ -105,11 +85,9 @@ class SeVulDetNet : public Detector {
   };
 
   const ParamCache& param_cache();
-  void build_quant_cache();
-  /// out[m,n] = act[m,k] x W + bias (+ReLU), dispatched on precision_.
+  /// out[m,n] = act[m,k] x W + bias (+ReLU).
   void dense_head(int m, int k, int n, const float* act, const nn::Tensor& w,
-                  const nn::Tensor& b, const QuantWeights& qw, bool apply_relu,
-                  float* out);
+                  const nn::Tensor& b, bool apply_relu, float* out);
   /// Validates every token id, then (with token attention on) scores
   /// eqs. 1-4 once per distinct id of the call into scratch_.tok_score.
   void score_distinct_tokens(const BatchItem* items, std::size_t count);
@@ -127,7 +105,6 @@ class SeVulDetNet : public Detector {
   std::unique_ptr<nn::Dense> fc1_, fc2_, fc3_;
   std::vector<float> empty_weights_;
   std::vector<int> ids_scratch_;  // padded token ids, reused per forward
-  QuantWeights qconv1_, qconv2_, qfc1_, qfc2_;
   ParamCache pcache_;
   BatchScratch scratch_;
   std::vector<std::pair<int, std::size_t>> bucket_order_;  // (padded len, idx)

@@ -24,7 +24,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 namespace sevuldet::nn::kernels {
@@ -62,39 +61,6 @@ void gemm_at_b_naive(int m, int n, int k, const float* a, const float* b,
                      float* c);
 void gemm_a_bt_naive(int m, int n, int k, const float* a, const float* b,
                      float* c);
-
-// --- quantized GEMMs -------------------------------------------------------
-// int8 x int8 -> int32 accumulate. Integer arithmetic is exact, so the
-// optimized kernel equals the naive oracle for every input (no rounding
-// contract to manage — kernels_test asserts exact equality anyway).
-/// C[m,n] += A[m,k] * B[k,n], both operands int8, 32-bit accumulators.
-void gemm_s8(int m, int n, int k, const std::int8_t* a, const std::int8_t* b,
-             std::int32_t* c);
-void gemm_s8_naive(int m, int n, int k, const std::int8_t* a,
-                   const std::int8_t* b, std::int32_t* c);
-
-// --- IEEE 754 binary16 helpers ---------------------------------------------
-// fp16 here is a STORAGE format: operands are quantized to the half
-// grid (round-to-nearest-even), then widened back to fp32 for the
-// accumulation. That bounds the precision loss to the operand rounding
-// while keeping the fp32 determinism contract for the reduction chain.
-/// Round-to-nearest-even float -> binary16 (Inf/NaN preserved, NaN
-/// payload truncated but kept quiet).
-std::uint16_t float_to_half(float value);
-/// Exact binary16 -> float widening (every half is representable).
-float half_to_float(std::uint16_t half);
-/// dst[i] = float_to_half(src[i])
-void float_to_half_buffer(std::size_t n, const float* src, std::uint16_t* dst);
-/// dst[i] = half_to_float(src[i])
-void half_to_float_buffer(std::size_t n, const std::uint16_t* src, float* dst);
-
-/// C[m,n] += widen(A[m,k]) * widen(B[k,n]) with fp32 accumulation —
-/// same chain as `gemm` over the widened operands (the optimized path
-/// widens once into scratch and reuses the blocked fp32 kernel).
-void gemm_f16(int m, int n, int k, const std::uint16_t* a,
-              const std::uint16_t* b, float* c);
-void gemm_f16_naive(int m, int n, int k, const std::uint16_t* a,
-                    const std::uint16_t* b, float* c);
 
 // --- level-1 helpers -------------------------------------------------------
 /// y[i] += alpha * x[i]

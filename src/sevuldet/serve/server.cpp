@@ -33,15 +33,10 @@ Server::Server(core::SeVulDet& detector, ServeOptions options)
     : detector_(detector), options_(std::move(options)) {
   options_.threads = std::max(1, options_.threads);
   options_.queue_depth = std::max(1, options_.queue_depth);
-  // Set the precision before cloning so every worker's clone inherits it.
-  models::Detector& model = detector_.model();
-  if (model.precision() != options_.precision) {
-    model.set_precision(options_.precision);
-  }
+  const models::Detector& model = detector_.model();
   clones_.reserve(static_cast<std::size_t>(options_.threads));
   for (int i = 0; i < options_.threads; ++i) clones_.push_back(model.clone());
-  precision_name_ = models::precision_name(options_.precision);
-  backend_name_ = detector_.model().name();
+  backend_name_ = model.name();
   if (options_.telemetry) {
     ring_ = std::make_unique<telemetry::SampleRing>(
         static_cast<std::size_t>(std::max(1, options_.history_capacity)));
@@ -183,7 +178,6 @@ Response Server::process(Job& job, models::Detector& model) {
       const auto infer_start = std::chrono::steady_clock::now();
       core::ScanOptions scan_options;
       scan_options.detect.top_k = job.request.top_k;
-      scan_options.detect.precision = options_.precision;
       scan_options.threads = options_.threads;
       core::TreeScanResult tree =
           core::scan_tree(detector_, job.request.root, scan_options);
@@ -466,7 +460,6 @@ void Server::finish_request(const char* op_label, const Response& response,
   record.infer_ms = timing.infer_ms;
   record.total_ms = total_ms;
   record.batch_size = timing.batch_size;
-  record.precision = precision_name_;
   record.backend = backend_name_;
   if (response.error.has_value()) {
     record.error = error_code_name(response.error->code);

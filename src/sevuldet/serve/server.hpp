@@ -84,12 +84,6 @@ struct ServeOptions {
   int accept_timeout_ms = 100;  // accept/readability poll granularity —
                                 // bounds shutdown latency
   int recv_timeout_ms = 30000;  // mid-frame stall bound per connection
-  /// Forward precision for every scan this daemon serves. Applied to the
-  /// detector's model before the workers' clones are made, so all
-  /// scoring clones inherit it. fp32 replies are byte-identical to
-  /// in-process scans; fp16/int8 trade bounded score drift for
-  /// throughput.
-  models::Precision precision = models::Precision::kFp32;
 
   /// Live telemetry plane (PR 10). Off by default so embedded servers
   /// (tests, benches) keep the registry exactly as they configured it;
@@ -219,7 +213,6 @@ class Server {
   std::mutex snapshot_mu_;
   std::condition_variable snapshot_cv_;
   bool snapshot_stop_ = false;
-  std::string precision_name_;  // cached for access-log lines
   std::string backend_name_;
 };
 

@@ -150,8 +150,9 @@ std::string access_record_to_json(const AccessRecord& record) {
   json::append_number(out, record.total_ms);
   out += ",\"batch_size\":";
   json::append_number(out, record.batch_size);
-  out += ",\"precision\":";
-  json::append_string(out, record.precision);
+  // Scoring is always fp32; the key stays because access-log schema v1
+  // carries it.
+  out += ",\"precision\":\"fp32\"";
   out += ",\"backend\":";
   json::append_string(out, record.backend);
   out += ",\"error\":";

@@ -74,7 +74,6 @@ struct AccessRecord {
   double infer_ms = 0.0;       // prepare + batched scoring
   double total_ms = 0.0;       // receive -> reply sent
   int batch_size = 0;          // gadgets scored for this request
-  std::string precision;       // serve precision (fp32/fp16/int8)
   std::string backend;         // detector backend name
   std::string error;           // wire error code, empty on success
 };

@@ -1,5 +1,5 @@
 // The length-bucketed batched inference engine's load-bearing contract:
-// at fp32, SeVulDetNet::predict_batch is BITWISE identical to the
+// SeVulDetNet::predict_batch is BITWISE identical to the
 // per-gadget predict_captured loop — across bucket boundaries, odd
 // batch sizes, every attention ablation, multiclass heads, and the
 // explain capture (attention read-outs travel with the scores). Models
@@ -107,14 +107,29 @@ sm::ModelConfig small_config() {
   return config;
 }
 
+/// The context vector u_w starts at zero, which makes every token's
+/// score 0 and alpha uniform; give it (and the bias) nonzero values so
+/// a score gathered for the wrong id shows in the outputs.
+void make_attention_selective(sm::SeVulDetNet& net) {
+  for (const auto& [name, node] : net.params().all()) {
+    if (name != "token_attn.u" && name != "token_attn.b") continue;
+    float* w = node->value.data();
+    for (std::size_t i = 0; i < node->value.size(); ++i) {
+      w[i] = 0.4f * std::sin(1.7f * static_cast<float>(i) + 0.3f);
+    }
+  }
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// fp32 batched == per-gadget, bitwise
+// batched == per-gadget, bitwise (on selective attention weights, so a
+// token score gathered for the wrong id changes the outputs)
 // ---------------------------------------------------------------------------
 
 TEST(BatchTest, BatchedMatchesPerGadgetBitwise) {
   sm::SeVulDetNet net(small_config());
+  make_attention_selective(net);
   const auto gadgets = make_gadgets(37, net.config().vocab_size);
   // Odd batch sizes straddle bucket boundaries: a bucket of same-length
   // gadgets split across two predict_batch calls must score identically.
@@ -126,7 +141,8 @@ TEST(BatchTest, BatchedMatchesPerGadgetBitwise) {
 TEST(BatchTest, AblationsMatchPerGadgetBitwise) {
   // The RQ2 ablations exercise every engine branch: no token attention
   // (no alpha stage), no CBAM (conv1 -> conv2 direct), parallel CBAM
-  // order, and the bare CNN.
+  // order, and the bare CNN. make_attention_selective is a no-op when
+  // token attention is off.
   for (const bool token_attention : {true, false}) {
     for (const bool multilayer : {true, false}) {
       for (const bool sequential : {true, false}) {
@@ -135,6 +151,7 @@ TEST(BatchTest, AblationsMatchPerGadgetBitwise) {
         config.multilayer_attention = multilayer;
         config.cbam_sequential = sequential;
         sm::SeVulDetNet net(config);
+        make_attention_selective(net);
         const auto gadgets = make_gadgets(13, config.vocab_size);
         expect_batched_bitwise(net, gadgets, 5);
       }
@@ -146,6 +163,7 @@ TEST(BatchTest, MulticlassMatchesPerGadgetBitwise) {
   sm::ModelConfig config = small_config();
   config.num_classes = 4;
   sm::SeVulDetNet net(config);
+  make_attention_selective(net);
   const auto gadgets = make_gadgets(11, config.vocab_size);
   expect_batched_bitwise(net, gadgets, 4);
 }
@@ -154,6 +172,7 @@ TEST(BatchTest, ExplainCaptureIdenticalUnderBatching) {
   // capture_spatial is the `explain` path: the CBAM spatial map must
   // travel with each prediction and match the per-gadget read-out.
   sm::SeVulDetNet net(small_config());
+  make_attention_selective(net);
   const auto gadgets = make_gadgets(9, net.config().vocab_size);
   expect_batched_bitwise(net, gadgets, 4, /*capture_spatial=*/true);
   // Mixed capture flags within one batch: only flagged items pay for
@@ -212,19 +231,6 @@ std::vector<std::vector<int>> make_repetitive_gadgets(int count) {
     gadgets.push_back(std::move(ids));
   }
   return gadgets;
-}
-
-/// The context vector u_w starts at zero, which makes every token's
-/// score 0 and alpha uniform; give it (and the bias) nonzero values so
-/// a score gathered for the wrong id shows in the outputs.
-void make_attention_selective(sm::SeVulDetNet& net) {
-  for (const auto& [name, node] : net.params().all()) {
-    if (name != "token_attn.u" && name != "token_attn.b") continue;
-    float* w = node->value.data();
-    for (std::size_t i = 0; i < node->value.size(); ++i) {
-      w[i] = 0.4f * std::sin(1.7f * static_cast<float>(i) + 0.3f);
-    }
-  }
 }
 
 }  // namespace
@@ -347,47 +353,15 @@ TEST(BatchTest, BiRnnFallbackMatchesRepeatedPredict) {
 }
 
 // ---------------------------------------------------------------------------
-// quantized paths
+// clones (the serve daemon scores on one per request worker)
 // ---------------------------------------------------------------------------
 
-TEST(BatchTest, QuantizedScoresStayProbabilitiesNearFp32) {
-  // fp16/int8 are accuracy trade-offs, not exactness contracts: scores
-  // must stay valid probabilities and track fp32 closely at these
-  // shapes (the CI quality gate bounds the corpus-level F1/AUC drift).
+TEST(BatchTest, ClonesScoreIdentically) {
+  // A clone copies every parameter, so it must produce the parent's
+  // bytes — scores and attention read-outs alike.
   sm::SeVulDetNet net(small_config());
-  const auto gadgets = make_gadgets(17, net.config().vocab_size);
-  std::vector<sm::BatchItem> items;
-  for (const auto& ids : gadgets) items.push_back({&ids, false});
-  const auto fp32 = net.predict_batch(items);
-  for (const sm::Precision precision :
-       {sm::Precision::kFp16, sm::Precision::kInt8}) {
-    net.set_precision(precision);
-    const auto quant = net.predict_batch(items);
-    for (std::size_t i = 0; i < gadgets.size(); ++i) {
-      ASSERT_TRUE(std::isfinite(quant[i].probability));
-      EXPECT_GE(quant[i].probability, 0.0f);
-      EXPECT_LE(quant[i].probability, 1.0f);
-      EXPECT_NEAR(quant[i].probability, fp32[i].probability, 0.15f)
-          << sm::precision_name(precision) << " gadget " << i;
-      // Attention runs fp32 in every mode — read-outs stay bitwise.
-      EXPECT_TRUE(bits_equal(quant[i].token_weights, fp32[i].token_weights));
-    }
-  }
-  // Dropping back to fp32 restores exactness (quant caches are opt-in).
-  net.set_precision(sm::Precision::kFp32);
-  const auto back = net.predict_batch(items);
-  for (std::size_t i = 0; i < gadgets.size(); ++i) {
-    EXPECT_TRUE(bits_equal(back[i].probability, fp32[i].probability));
-  }
-}
-
-TEST(BatchTest, ClonesInheritPrecisionAndScoreIdentically) {
-  // The serve daemon scores on per-worker clones: a clone must carry
-  // the parent's precision and produce the same bytes.
-  sm::SeVulDetNet net(small_config());
-  net.set_precision(sm::Precision::kInt8);
+  make_attention_selective(net);
   const auto clone = net.clone_net();
-  EXPECT_EQ(clone->precision(), sm::Precision::kInt8);
   const auto gadgets = make_gadgets(7, net.config().vocab_size);
   std::vector<sm::BatchItem> items;
   for (const auto& ids : gadgets) items.push_back({&ids, false});
@@ -395,5 +369,6 @@ TEST(BatchTest, ClonesInheritPrecisionAndScoreIdentically) {
   const auto b = clone->predict_batch(items);
   for (std::size_t i = 0; i < gadgets.size(); ++i) {
     EXPECT_TRUE(bits_equal(a[i].probability, b[i].probability));
+    EXPECT_TRUE(bits_equal(a[i].token_weights, b[i].token_weights));
   }
 }

@@ -313,117 +313,6 @@ TEST(KernelsTest, ZeroTimesNanPropagates) {
 }
 
 // ---------------------------------------------------------------------------
-// quantized GEMMs vs naive oracles
-// ---------------------------------------------------------------------------
-
-TEST(KernelsTest, GemmS8MatchesNaiveExactly) {
-  // Integer arithmetic is exact: the optimized int8 kernel must equal
-  // the naive oracle for every input, including the extreme operand
-  // values (-128 * -128 stacked k times stays well inside int32).
-  Rng rng(19);
-  for (const auto& s : kShapes) {
-    std::vector<std::int8_t> a(static_cast<std::size_t>(s.m) * s.k);
-    std::vector<std::int8_t> b(static_cast<std::size_t>(s.k) * s.n);
-    for (auto& x : a) {
-      x = static_cast<std::int8_t>(static_cast<int>(rng.uniform(256)) - 128);
-    }
-    for (auto& x : b) {
-      x = static_cast<std::int8_t>(static_cast<int>(rng.uniform(256)) - 128);
-    }
-    if (!a.empty()) a.front() = -128;  // force the asymmetric extreme
-    if (!b.empty()) b.front() = -128;
-    std::vector<std::int32_t> c_ref(static_cast<std::size_t>(s.m) * s.n);
-    for (std::size_t i = 0; i < c_ref.size(); ++i) {
-      c_ref[i] = static_cast<std::int32_t>(i) - 7;  // accumulate, not assign
-    }
-    auto c_opt = c_ref;
-    kernels::gemm_s8_naive(s.m, s.n, s.k, a.data(), b.data(), c_ref.data());
-    kernels::gemm_s8(s.m, s.n, s.k, a.data(), b.data(), c_opt.data());
-    EXPECT_EQ(c_ref, c_opt) << "gemm_s8 " << s.m << "x" << s.n << "x" << s.k;
-  }
-}
-
-TEST(KernelsTest, GemmF16MatchesNaiveBitwise) {
-  // fp16 is storage-only: operands widen to fp32 and the accumulation
-  // chain is the fp32 contract's, so optimized == naive bitwise.
-  Rng rng(23);
-  for (const auto& s : kShapes) {
-    std::vector<std::uint16_t> a(static_cast<std::size_t>(s.m) * s.k);
-    std::vector<std::uint16_t> b(static_cast<std::size_t>(s.k) * s.n);
-    for (auto& x : a) {
-      x = kernels::float_to_half(static_cast<float>(rng.normal()));
-    }
-    for (auto& x : b) {
-      x = kernels::float_to_half(static_cast<float>(rng.normal()));
-    }
-    auto c_ref = random_vec(static_cast<std::size_t>(s.m) * s.n, rng);
-    auto c_opt = c_ref;
-    kernels::gemm_f16_naive(s.m, s.n, s.k, a.data(), b.data(), c_ref.data());
-    kernels::gemm_f16(s.m, s.n, s.k, a.data(), b.data(), c_opt.data());
-    EXPECT_TRUE(bitwise_equal(c_ref, c_opt))
-        << "gemm_f16 " << s.m << "x" << s.n << "x" << s.k;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// binary16 conversion edge cases
-// ---------------------------------------------------------------------------
-
-TEST(KernelsTest, HalfConversionRoundsToNearestEven) {
-  // Near 1.0 the half grid spacing is 2^-10. Exactly halfway values
-  // must round to the even mantissa: 1 + 2^-11 ties down to 1.0 (even
-  // mantissa 0), 1 + 3*2^-11 ties up to 1 + 2^-9 (mantissa 2, even)
-  // rather than 1 + 2^-10 (mantissa 1, odd).
-  const float tie_down = 1.0f + std::ldexp(1.0f, -11);
-  EXPECT_EQ(kernels::half_to_float(kernels::float_to_half(tie_down)), 1.0f);
-  const float tie_up = 1.0f + 3.0f * std::ldexp(1.0f, -11);
-  EXPECT_EQ(kernels::half_to_float(kernels::float_to_half(tie_up)),
-            1.0f + std::ldexp(1.0f, -9));
-  // Not a tie: anything past the midpoint rounds up.
-  const float above = 1.0f + std::ldexp(1.0f, -11) + std::ldexp(1.0f, -13);
-  EXPECT_EQ(kernels::half_to_float(kernels::float_to_half(above)),
-            1.0f + std::ldexp(1.0f, -10));
-}
-
-TEST(KernelsTest, HalfConversionSubnormalsAndLimits) {
-  const float min_subnormal = std::ldexp(1.0f, -24);  // smallest half > 0
-  EXPECT_EQ(kernels::float_to_half(min_subnormal), 0x0001);
-  EXPECT_EQ(kernels::half_to_float(0x0001), min_subnormal);
-  // Half the smallest subnormal ties to even zero; 3/4 of it rounds up.
-  EXPECT_EQ(kernels::float_to_half(std::ldexp(1.0f, -25)), 0x0000);
-  EXPECT_EQ(kernels::float_to_half(3.0f * std::ldexp(1.0f, -26)), 0x0001);
-  // Largest finite half is 65504; the overflow midpoint 65520 rounds to
-  // a value outside the finite range, i.e. infinity.
-  EXPECT_EQ(kernels::float_to_half(65504.0f), 0x7bff);
-  EXPECT_EQ(kernels::half_to_float(0x7bff), 65504.0f);
-  EXPECT_EQ(kernels::float_to_half(65520.0f), 0x7c00);
-  EXPECT_EQ(kernels::float_to_half(1e9f), 0x7c00);
-  EXPECT_EQ(kernels::float_to_half(-1e9f), 0xfc00);
-  // Signed zero survives the round trip.
-  EXPECT_EQ(kernels::float_to_half(-0.0f), 0x8000);
-  EXPECT_EQ(std::signbit(kernels::half_to_float(0x8000)), true);
-  // NaN stays NaN and stays quiet (nonzero mantissa under Inf exponent).
-  const std::uint16_t qnan =
-      kernels::float_to_half(std::numeric_limits<float>::quiet_NaN());
-  EXPECT_EQ(qnan & 0x7c00, 0x7c00);
-  EXPECT_NE(qnan & 0x03ff, 0);
-  EXPECT_TRUE(std::isnan(kernels::half_to_float(qnan)));
-}
-
-TEST(KernelsTest, EveryHalfSurvivesTheRoundTrip) {
-  // Widening is exact and RNE of an exactly-representable value is the
-  // identity, so every non-NaN bit pattern must round-trip unchanged
-  // (NaN payloads are excluded: only quietness is contractual).
-  for (std::uint32_t bits = 0; bits <= 0xffff; ++bits) {
-    const auto h = static_cast<std::uint16_t>(bits);
-    const bool is_nan = (h & 0x7c00) == 0x7c00 && (h & 0x03ff) != 0;
-    if (is_nan) continue;
-    EXPECT_EQ(kernels::float_to_half(kernels::half_to_float(h)), h)
-        << "half bits 0x" << std::hex << bits;
-  }
-}
-
-// ---------------------------------------------------------------------------
 // TensorArena
 // ---------------------------------------------------------------------------
 

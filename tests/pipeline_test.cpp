@@ -4,11 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 
 #include "sevuldet/core/pipeline.hpp"
+#include "sevuldet/core/scan.hpp"
 #include "sevuldet/dataset/kfold.hpp"
 #include "sevuldet/dataset/sard_generator.hpp"
 
+namespace fs = std::filesystem;
 namespace sc = sevuldet::core;
 namespace sd = sevuldet::dataset;
 
@@ -73,6 +76,21 @@ TEST(Pipeline, DetectFindsPlantedFlaw) {
 TEST(Pipeline, DetectBeforeTrainThrows) {
   sc::SeVulDet detector(tiny_pipeline_config());
   EXPECT_THROW(detector.detect("void f() { }"), std::logic_error);
+}
+
+TEST(Pipeline, ScanBeforeTrainThrows) {
+  // Every scan entry point refuses an untrained detector up front, even
+  // where it would score nothing: a missing file (otherwise a failed
+  // FileScanResult) and an empty tree (otherwise an empty result).
+  const fs::path dir = fs::temp_directory_path() / "sevuldet_untrained_scan";
+  fs::create_directories(dir);
+  sc::SeVulDet detector(tiny_pipeline_config());
+  EXPECT_THROW(sc::scan_source(detector, "f.c", "void f() { }"),
+               std::logic_error);
+  EXPECT_THROW(sc::scan_file(detector, (dir / "missing.c").string()),
+               std::logic_error);
+  EXPECT_THROW(sc::scan_tree(detector, dir.string()), std::logic_error);
+  fs::remove_all(dir);
 }
 
 TEST(Pipeline, SaveLoadRoundTrip) {

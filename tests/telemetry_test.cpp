@@ -255,7 +255,6 @@ TEST(TelemetryAccessLog, RecordLeadsWithSchemaAndRoundTrips) {
   record.infer_ms = 3.5;
   record.total_ms = 4.75;
   record.batch_size = 2;
-  record.precision = "fp32";
   record.backend = "SEVulDet(CNN-MultiATT)";
   record.error = "";
   const std::string line = telemetry::access_record_to_json(record);
